@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test short race golden bench bench-gate bench-baseline parbench audit faults fuzz resume-smoke serve-smoke chaos-smoke netchaos-smoke sweep-smoke lint ci
+.PHONY: build vet test perfbench-test short race golden bench bench-gate bench-baseline parbench audit faults fuzz resume-smoke serve-smoke chaos-smoke netchaos-smoke sweep-smoke lint ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ vet:
 
 test:
 	$(GO) test -timeout 30m ./...
+
+# The benchmark module (perfbench/, its own go.mod) is skipped by the
+# root ./... patterns, yet it drives the exported server and client API:
+# vet and test it on its own (~25 s).
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
 
 # Fast subset: slow figure-shape tests skip themselves under -short.
 short:
@@ -116,4 +122,4 @@ lint: vet
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)" ; \
 	fi
 
-ci: lint build test race audit faults resume-smoke serve-smoke chaos-smoke netchaos-smoke sweep-smoke
+ci: lint build test perfbench-test race audit faults resume-smoke serve-smoke chaos-smoke netchaos-smoke sweep-smoke

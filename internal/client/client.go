@@ -165,8 +165,13 @@ type Job struct {
 }
 
 // Terminal reports whether the job has reached a final state.
-func (j Job) Terminal() bool {
-	return j.State == server.StateDone || j.State == server.StateFailed || j.State == server.StateCanceled
+func (j Job) Terminal() bool { return terminal(j.State) }
+
+func (j Job) head() (id, state string) { return j.ID, j.State }
+func (j Job) failure() string          { return j.Error }
+
+func terminal(state string) bool {
+	return state == server.StateDone || state == server.StateFailed || state == server.StateCanceled
 }
 
 // Client is a resilient charond API client. Create with New; safe for
@@ -475,59 +480,18 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 // job id is a canonical content key, so a duplicated POST deduplicates
 // server-side onto the same job.
 func (c *Client) Submit(ctx context.Context, spec server.JobSpec) (Job, error) {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return Job{}, fmt.Errorf("client: encoding job spec: %w", err)
-	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", payload, false)
-	if err != nil {
-		return Job{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Job{}, err
-	}
-	return decodeJob(resp.body)
+	return jobs.submit(ctx, c, spec)
 }
 
 // Job fetches a job's status.
 func (c *Client) Job(ctx context.Context, id string) (Job, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, true)
-	if err != nil {
-		return Job{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Job{}, err
-	}
-	return decodeJob(resp.body)
+	return jobs.status(ctx, c, id)
 }
 
 // Wait polls the job until it reaches a terminal state or ctx expires.
-// Transient polling failures do not abort the wait — the job keeps
-// running server-side regardless, so the client keeps watching until
-// its deadline says otherwise.
+// Transient polling failures do not abort the wait.
 func (c *Client) Wait(ctx context.Context, id string) (Job, error) {
-	var lastErr error
-	for {
-		j, err := c.Job(ctx, id)
-		if err == nil {
-			if j.Terminal() {
-				return j, nil
-			}
-			lastErr = nil
-		} else {
-			var apiErr *APIError
-			if errors.As(err, &apiErr) {
-				return Job{}, err // the server answered: unknown job etc. — not transient
-			}
-			lastErr = err
-		}
-		if serr := c.sleep(ctx, c.cfg.PollInterval); serr != nil {
-			if lastErr != nil {
-				return Job{}, fmt.Errorf("client: wait %s: %w (last poll failure: %v)", id, serr, lastErr)
-			}
-			return Job{}, fmt.Errorf("client: wait %s: %w", id, serr)
-		}
-	}
+	return jobs.wait(ctx, c, id)
 }
 
 // Result fetches a done job's rendered report — the exact bytes the
@@ -535,40 +499,13 @@ func (c *Client) Wait(ctx context.Context, id string) (Job, error) {
 // charonsim CLI's output for the same configuration. Returns ErrNotDone
 // while the job is still queued or running.
 func (c *Client) Result(ctx context.Context, id string) (string, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, true)
-	if err != nil {
-		return "", err
-	}
-	if resp.status == http.StatusAccepted {
-		return "", ErrNotDone
-	}
-	if err := resp.asError(); err != nil {
-		return "", err
-	}
-	return string(resp.body), nil
+	return jobs.result(ctx, c, id)
 }
 
 // WaitResult waits for the job to finish and returns its report. A
 // failed or canceled job returns the server's error.
 func (c *Client) WaitResult(ctx context.Context, id string) (string, error) {
-	for {
-		j, err := c.Wait(ctx, id)
-		if err != nil {
-			return "", err
-		}
-		switch j.State {
-		case server.StateDone:
-			text, err := c.Result(ctx, id)
-			if err == ErrNotDone {
-				continue // raced a state change; re-observe
-			}
-			return text, err
-		case server.StateFailed:
-			return "", fmt.Errorf("client: job %s: %w: %s", id, ErrJobFailed, j.Error)
-		default: // canceled
-			return "", fmt.Errorf("client: job %s: %w: %s", id, ErrJobCanceled, j.Error)
-		}
-	}
+	return jobs.waitResult(ctx, c, id)
 }
 
 // SweepChild is one grid point's status row inside a sweep.
@@ -595,8 +532,12 @@ type Sweep struct {
 }
 
 // Terminal reports whether every child has reached a final state.
-func (s Sweep) Terminal() bool {
-	return s.State == server.StateDone || s.State == server.StateFailed || s.State == server.StateCanceled
+func (s Sweep) Terminal() bool { return terminal(s.State) }
+
+func (s Sweep) head() (id, state string) { return s.ID, s.State }
+
+func (s Sweep) failure() string {
+	return fmt.Sprintf("%d of %d children %s", s.Counts[s.State], s.Total, s.State)
 }
 
 // SubmitSweep posts a parameter grid as one batch. Like Submit, it is
@@ -604,60 +545,19 @@ func (s Sweep) Terminal() bool {
 // the expanded grid, so a duplicated POST deduplicates server-side onto
 // the same sweep (and through it onto every cached child result).
 func (c *Client) SubmitSweep(ctx context.Context, spec server.SweepSpec) (Sweep, error) {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return Sweep{}, fmt.Errorf("client: encoding sweep spec: %w", err)
-	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/sweeps", payload, false)
-	if err != nil {
-		return Sweep{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Sweep{}, err
-	}
-	return decodeSweep(resp.body)
+	return sweeps.submit(ctx, c, spec)
 }
 
 // SweepStatus fetches a sweep's aggregate status.
 func (c *Client) SweepStatus(ctx context.Context, id string) (Sweep, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+url.PathEscape(id), nil, true)
-	if err != nil {
-		return Sweep{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Sweep{}, err
-	}
-	return decodeSweep(resp.body)
+	return sweeps.status(ctx, c, id)
 }
 
 // SweepWait polls the sweep until every child reaches a terminal state
-// or ctx expires. One aggregate poll covers the whole grid — the server
-// folds all child states into a single answer with a position-aware
-// Retry-After — and each poll rides the usual retry/breaker/hedging
-// machinery. Transient polling failures do not abort the wait.
+// or ctx expires. One aggregate poll covers the whole grid, and
+// transient polling failures do not abort the wait.
 func (c *Client) SweepWait(ctx context.Context, id string) (Sweep, error) {
-	var lastErr error
-	for {
-		sw, err := c.SweepStatus(ctx, id)
-		if err == nil {
-			if sw.Terminal() {
-				return sw, nil
-			}
-			lastErr = nil
-		} else {
-			var apiErr *APIError
-			if errors.As(err, &apiErr) {
-				return Sweep{}, err // the server answered: unknown sweep etc.
-			}
-			lastErr = err
-		}
-		if serr := c.sleep(ctx, c.cfg.PollInterval); serr != nil {
-			if lastErr != nil {
-				return Sweep{}, fmt.Errorf("client: sweep wait %s: %w (last poll failure: %v)", id, serr, lastErr)
-			}
-			return Sweep{}, fmt.Errorf("client: sweep wait %s: %w", id, serr)
-		}
-	}
+	return sweeps.wait(ctx, c, id)
 }
 
 // SweepResult fetches a completed sweep's combined report: every child's
@@ -665,7 +565,112 @@ func (c *Client) SweepWait(ctx context.Context, id string) (Sweep, error) {
 // the equivalent charonsim CLI invocations locally. Returns ErrNotDone
 // while any child is still pending.
 func (c *Client) SweepResult(ctx context.Context, id string) (string, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/sweeps/"+url.PathEscape(id)+"/result", nil, true)
+	return sweeps.result(ctx, c, id)
+}
+
+// SweepWaitResult waits for the sweep to finish and returns its combined
+// report. A failed or canceled sweep maps onto ErrJobFailed/ErrJobCanceled,
+// so charonctl's exit contract treats sweeps and jobs uniformly.
+func (c *Client) SweepWaitResult(ctx context.Context, id string) (string, error) {
+	return sweeps.waitResult(ctx, c, id)
+}
+
+// Cancel requests cancellation and returns the job's resulting view.
+func (c *Client) Cancel(ctx context.Context, id string) (Job, error) {
+	return jobs.call(ctx, c, http.MethodDelete, jobs.path(id), nil, false)
+}
+
+// doc is a status document charond answers with: a Job or a Sweep.
+type doc interface {
+	Job | Sweep
+	Terminal() bool
+	head() (id, state string)
+	// failure says why a failed or canceled entry ended so.
+	failure() string
+}
+
+// resource is one of the two kinds charond tracks — jobs, and sweeps
+// over jobs — as the client drives them; D is its status document. Both
+// share one request, poll and decode path.
+type resource[D doc] struct {
+	name string // "job" or "sweep"
+}
+
+var (
+	jobs   = resource[Job]{"job"}
+	sweeps = resource[Sweep]{"sweep"}
+)
+
+func (r resource[D]) path(id string) string {
+	return "/v1/" + r.name + "s/" + url.PathEscape(id)
+}
+
+func (r resource[D]) submit(ctx context.Context, c *Client, spec any) (D, error) {
+	payload, err := json.Marshal(spec)
+	if err != nil {
+		var zero D
+		return zero, fmt.Errorf("client: encoding %s spec: %w", r.name, err)
+	}
+	return r.call(ctx, c, http.MethodPost, "/v1/"+r.name+"s", payload, false)
+}
+
+func (r resource[D]) status(ctx context.Context, c *Client, id string) (D, error) {
+	return r.call(ctx, c, http.MethodGet, r.path(id), nil, true)
+}
+
+// call runs one request through the retry stack and decodes the status
+// document it answers with.
+func (r resource[D]) call(ctx context.Context, c *Client, method, path string, body []byte, hedge bool) (D, error) {
+	var d, zero D
+	resp, err := c.do(ctx, method, path, body, hedge)
+	if err == nil {
+		err = resp.asError()
+	}
+	if err != nil {
+		return zero, err
+	}
+	if err := json.Unmarshal(resp.body, &d); err != nil {
+		return zero, fmt.Errorf("client: decoding %s: %w (in %q)", r.name, err, resp.body)
+	}
+	if id, _ := d.head(); id == "" {
+		return zero, fmt.Errorf("client: %s response missing id (in %q)", r.name, resp.body)
+	}
+	return d, nil
+}
+
+// wait polls the entry until it is terminal or ctx expires; each poll
+// rides the usual retry/breaker/hedging machinery. Transient polling
+// failures do not abort the wait — the work keeps running server-side
+// regardless, so the client keeps watching until its deadline says
+// otherwise.
+func (r resource[D]) wait(ctx context.Context, c *Client, id string) (D, error) {
+	var zero D
+	var lastErr error
+	for {
+		d, err := r.status(ctx, c, id)
+		if err == nil {
+			if d.Terminal() {
+				return d, nil
+			}
+			lastErr = nil
+		} else {
+			var apiErr *APIError
+			if errors.As(err, &apiErr) {
+				return zero, err // the server answered: unknown id etc. — not transient
+			}
+			lastErr = err
+		}
+		if serr := c.sleep(ctx, c.cfg.PollInterval); serr != nil {
+			if lastErr != nil {
+				return zero, fmt.Errorf("client: %s wait %s: %w (last poll failure: %v)", r.name, id, serr, lastErr)
+			}
+			return zero, fmt.Errorf("client: %s wait %s: %w", r.name, id, serr)
+		}
+	}
+}
+
+func (r resource[D]) result(ctx context.Context, c *Client, id string) (string, error) {
+	resp, err := c.do(ctx, http.MethodGet, r.path(id)+"/result", nil, true)
 	if err != nil {
 		return "", err
 	}
@@ -678,53 +683,25 @@ func (c *Client) SweepResult(ctx context.Context, id string) (string, error) {
 	return string(resp.body), nil
 }
 
-// SweepWaitResult waits for the sweep to finish and returns its combined
-// report. A failed or canceled sweep maps onto ErrJobFailed/ErrJobCanceled,
-// so charonctl's exit contract treats sweeps and jobs uniformly.
-func (c *Client) SweepWaitResult(ctx context.Context, id string) (string, error) {
+func (r resource[D]) waitResult(ctx context.Context, c *Client, id string) (string, error) {
 	for {
-		sw, err := c.SweepWait(ctx, id)
+		d, err := r.wait(ctx, c, id)
 		if err != nil {
 			return "", err
 		}
-		switch sw.State {
+		switch _, state := d.head(); state {
 		case server.StateDone:
-			text, err := c.SweepResult(ctx, id)
+			text, err := r.result(ctx, c, id)
 			if err == ErrNotDone {
 				continue // raced a state change; re-observe
 			}
 			return text, err
 		case server.StateFailed:
-			return "", fmt.Errorf("client: sweep %s: %w: %d of %d children failed",
-				id, ErrJobFailed, sw.Counts[server.StateFailed], sw.Total)
+			return "", fmt.Errorf("client: %s %s: %w: %s", r.name, id, ErrJobFailed, d.failure())
 		default: // canceled
-			return "", fmt.Errorf("client: sweep %s: %w: %d of %d children canceled",
-				id, ErrJobCanceled, sw.Counts[server.StateCanceled], sw.Total)
+			return "", fmt.Errorf("client: %s %s: %w: %s", r.name, id, ErrJobCanceled, d.failure())
 		}
 	}
-}
-
-func decodeSweep(data []byte) (Sweep, error) {
-	var sw Sweep
-	if err := json.Unmarshal(data, &sw); err != nil {
-		return Sweep{}, fmt.Errorf("client: decoding sweep: %w (in %q)", err, data)
-	}
-	if sw.ID == "" {
-		return Sweep{}, fmt.Errorf("client: sweep response missing id (in %q)", data)
-	}
-	return sw, nil
-}
-
-// Cancel requests cancellation and returns the job's resulting view.
-func (c *Client) Cancel(ctx context.Context, id string) (Job, error) {
-	resp, err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, false)
-	if err != nil {
-		return Job{}, err
-	}
-	if err := resp.asError(); err != nil {
-		return Job{}, err
-	}
-	return decodeJob(resp.body)
 }
 
 // ServerMetrics fetches the server's /v1/metrics document verbatim.
@@ -746,17 +723,6 @@ func (c *Client) Healthy(ctx context.Context) error {
 		return err
 	}
 	return resp.asError()
-}
-
-func decodeJob(data []byte) (Job, error) {
-	var j Job
-	if err := json.Unmarshal(data, &j); err != nil {
-		return Job{}, fmt.Errorf("client: decoding job: %w (in %q)", err, data)
-	}
-	if j.ID == "" {
-		return Job{}, fmt.Errorf("client: job response missing id (in %q)", data)
-	}
-	return j, nil
 }
 
 // MetricsSnapshot writes the client-side counter snapshot as JSON —

@@ -203,7 +203,7 @@ func cmdSubmit(ctx context.Context, c *Client, args []string, stdout, stderr io.
 		return 1
 	}
 	if !*wait {
-		printJob(stdout, j)
+		printStatus(stdout, j)
 		return 0
 	}
 	text, err := c.WaitResult(ctx, j.ID)
@@ -273,7 +273,7 @@ func cmdSweep(ctx context.Context, c *Client, args []string, stdout, stderr io.W
 		return 1
 	}
 	if !*wait {
-		printSweep(stdout, sw)
+		printStatus(stdout, sw)
 		return 0
 	}
 	text, err := c.SweepWaitResult(ctx, sw.ID)
@@ -295,7 +295,7 @@ func cmdWait(ctx context.Context, c *Client, args []string, stdout, stderr io.Wr
 		fmt.Fprintln(stderr, "charonctl wait:", err)
 		return 1
 	}
-	printJob(stdout, j)
+	printStatus(stdout, j)
 	if j.State != server.StateDone {
 		return 3
 	}
@@ -326,7 +326,7 @@ func cmdCancel(ctx context.Context, c *Client, args []string, stdout, stderr io.
 		fmt.Fprintln(stderr, "charonctl cancel:", err)
 		return 1
 	}
-	printJob(stdout, j)
+	printStatus(stdout, j)
 	return 0
 }
 
@@ -365,16 +365,11 @@ func jobExitCode(err error) int {
 	return 1
 }
 
-func printJob(w io.Writer, j Job) {
+// printStatus writes a job or sweep status document as indented JSON.
+func printStatus(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(j)
-}
-
-func printSweep(w io.Writer, sw Sweep) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(sw)
+	_ = enc.Encode(v)
 }
 
 func writeClientMetrics(c *Client, path string, stderr io.Writer) error {

@@ -77,6 +77,19 @@ func (sp JobSpec) Resolve() (charonsim.Config, string, error) {
 	return cfg, canonicalKey(sp.Experiment, cfg), nil
 }
 
+// points resolves the job as a one-point grid with no manifest.
+func (sp JobSpec) points() ([]gridPoint, *sweep, error) {
+	cfg, key, err := sp.Resolve()
+	if err != nil {
+		return nil, nil, err
+	}
+	return []gridPoint{{spec: sp, cfg: cfg, key: key, id: jobID(key)}}, nil, nil
+}
+
+func (JobSpec) tooBig() string {
+	return fmt.Sprintf("job spec exceeds the %d-byte limit (a spec is a handful of scalar knobs; this is not one)", maxBodyBytes)
+}
+
 func knownExperiment(id string) bool {
 	ids := charonsim.Experiments()
 	i := sort.SearchStrings(ids, id)
@@ -149,7 +162,7 @@ type job struct {
 	started  time.Time
 	finished time.Time
 	deadline time.Time // effective execution deadline (zero = unbounded); from X-Charon-Deadline, tightened by RunTimeout at start
-	text     string // rendered report (CLI format, no wall-clock trailer)
+	text     string    // rendered report (CLI format, no wall-clock trailer)
 	errMsg   string
 	cancel   context.CancelFunc // non-nil while running
 	canceled bool               // cancellation requested (DELETE or drain)
@@ -158,6 +171,54 @@ type job struct {
 	seq       uint64          // bumped on every state mutation; orders journal writes
 	attempts  []attemptRecord // execution attempts (retry policy history)
 	recovered int             // journal crash-replay generations (0 = never crashed)
+}
+
+// newJob is a fresh queued job for grid point p.
+func newJob(p gridPoint, deadline time.Time) *job {
+	return &job{id: p.id, key: p.key, spec: p.spec, cfg: p.cfg, deadline: deadline,
+		state: StateQueued, created: time.Now(), seq: 1, done: make(chan struct{})}
+}
+
+// completeFromCache settles an unpublished job with a report the result
+// cache already holds.
+func (j *job) completeFromCache(text string) {
+	j.state = StateDone
+	j.cached = true
+	j.text = text
+	j.finished = time.Now()
+	close(j.done)
+}
+
+// A job is the one-point grid of itself: these methods make it an entry
+// served by the same handlers as a sweep.
+func (j *job) ident() (string, time.Time) { return j.id, j.created }
+func (j *job) document() any              { return j.view() }
+func (j *job) jobs() []*job               { return []*job{j} }
+
+func (j *job) retention() (terminal, fetched bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return terminalState(j.state), j.fetched
+}
+
+func (j *job) refusal(_ *job, state, errMsg string) string {
+	if state == StateFailed {
+		return "job failed: " + errMsg
+	}
+	return "job was canceled: " + errMsg
+}
+
+// journalEntry snapshots the job's durable record.
+func (j *job) journalEntry() (id, key string, seq uint64, rec any) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.id, j.key, j.seq, journalRecord{
+		Schema: journalSchema, ID: j.id, Key: j.key, Spec: j.spec,
+		State: j.state, Error: j.errMsg,
+		Created: j.created, Updated: time.Now(),
+		Attempts:  append([]attemptRecord(nil), j.attempts...),
+		Recovered: j.recovered,
+	}
 }
 
 // view is the JSON representation of a job.

@@ -65,7 +65,7 @@ type journal struct {
 	health *degrader
 
 	mu  sync.Mutex
-	seq map[string]uint64 // highest seq written per job id; stale writers skip
+	seq map[string]uint64 // highest seq written per job or sweep id; stale writers skip
 }
 
 // openJournal opens (creating if needed) the journal directory.
@@ -77,47 +77,46 @@ func openJournal(dir string, fsys atomicio.FS, health *degrader) (*journal, erro
 	return &journal{st: st, health: health, seq: map[string]uint64{}}, nil
 }
 
-// record durably persists j's current state. Safe under concurrent
-// transitions of the same job: each caller snapshots the job (with its
-// monotonically increasing seq) under j.mu, and the journal drops
-// snapshots older than the newest it has written, so a late writer can
-// never roll a job's durable state backwards.
+// journaled is a tracked entry with a durable record: a job, or a sweep's
+// manifest. journalEntry snapshots the record with its seq, which every
+// state change bumps.
+type journaled interface {
+	journalEntry() (id, key string, seq uint64, rec any)
+}
+
+// record durably persists e's current state. Safe under concurrent
+// transitions of the same entry: each caller snapshots it with its
+// monotonically increasing seq, and the journal drops snapshots older
+// than the newest it has written, so a late writer can never roll an
+// entry's durable state backwards. A sweep manifest is membership, not
+// progress — its children journal their own transitions — so it is only
+// rewritten at admission, recovery and completion.
 //
 // A write failure degrades the journal (gauge + one-shot log via the
 // shared degrader) rather than failing the job — availability over
 // durability once the disk is already misbehaving; the next successful
 // write re-arms the crash-recovery promise.
-func (jl *journal) record(j *job) {
+func (jl *journal) record(e journaled) {
 	if jl == nil {
 		return
 	}
-	j.mu.Lock()
-	rec := journalRecord{
-		Schema: journalSchema, ID: j.id, Key: j.key, Spec: j.spec,
-		State: j.state, Error: j.errMsg,
-		Created: j.created, Updated: time.Now(),
-		Attempts: append([]attemptRecord(nil), j.attempts...),
-		Recovered: j.recovered,
-	}
-	seq := j.seq
-	j.mu.Unlock()
-
+	id, key, seq, rec := e.journalEntry()
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		jl.health.observe(fmt.Errorf("journal: encode %s: %w", j.id, err))
+		jl.health.observe(fmt.Errorf("journal: encode %s: %w", id, err))
 		return
 	}
 
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
-	if last, ok := jl.seq[j.id]; ok && seq <= last {
+	if last, ok := jl.seq[id]; ok && seq <= last {
 		return // a newer transition already landed
 	}
-	if err := jl.st.Put(j.key, payload); err != nil {
+	if err := jl.st.Put(key, payload); err != nil {
 		jl.health.observe(err)
 		return
 	}
-	jl.seq[j.id] = seq
+	jl.seq[id] = seq
 	jl.health.observe(nil)
 }
 
@@ -178,32 +177,6 @@ func (jl *journal) replay(log *slog.Logger) (pending []journalRecord, sweeps []s
 		return true
 	})
 	return pending, sweeps, terminalKeys, err
-}
-
-// recordSweep durably persists a sweep manifest snapshot, with the same
-// monotonic-seq staleness guard record uses for jobs. The manifest is
-// membership, not progress: child jobs journal their own transitions, so
-// a sweep rewrite only happens at admission, recovery, and completion.
-func (jl *journal) recordSweep(rec sweepRecord, seq uint64) {
-	if jl == nil {
-		return
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		jl.health.observe(fmt.Errorf("journal: encode sweep %s: %w", rec.ID, err))
-		return
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if last, ok := jl.seq[rec.ID]; ok && seq <= last {
-		return // a newer transition already landed
-	}
-	if err := jl.st.Put(rec.Key, payload); err != nil {
-		jl.health.observe(err)
-		return
-	}
-	jl.seq[rec.ID] = seq
-	jl.health.observe(nil)
 }
 
 // gc deletes terminal records. Best-effort: a record that refuses to die

@@ -1,6 +1,7 @@
 // Package server implements charond, the long-running simulation service:
 // an HTTP job API over the charonsim experiment harness. Jobs (an
-// experiment id plus a charonsim.Config) are validated at admission,
+// experiment id plus a charonsim.Config) and sweeps (a parameter grid of
+// jobs; a job is a one-point grid) are validated at admission,
 // queued into a bounded admission queue with backpressure (429 +
 // Retry-After when full), executed on a fixed worker pool through the
 // public RunContext/RunAllContext entry points (which share recorded
@@ -16,6 +17,10 @@
 //	GET    /v1/jobs/{id}        job status
 //	GET    /v1/jobs/{id}/result rendered report (CLI byte-identical)
 //	DELETE /v1/jobs/{id}        cancel (context-propagated, event-loop granularity)
+//	POST   /v1/sweeps           submit a grid (same admission path and statuses as jobs)
+//	GET    /v1/sweeps           list tracked sweeps
+//	GET    /v1/sweeps/{id}      sweep status (aggregate state, per-child rows)
+//	GET    /v1/sweeps/{id}/result children's reports concatenated in grid order
 //	GET    /healthz             liveness
 //	GET    /readyz              readiness (503 while draining)
 //	GET    /v1/metrics          server + cache counters (internal/metrics snapshot)
@@ -37,6 +42,8 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,9 +79,9 @@ type Config struct {
 	// the existing RunTimeout plumbing: the harness worker pool budget
 	// plus the engine watchdog heartbeat.
 	JobTimeout time.Duration
-	// MaxJobs bounds the in-memory job table (default 1024); when
-	// exceeded, the oldest terminal jobs are evicted. Their results stay
-	// servable from the disk cache.
+	// MaxJobs bounds the in-memory job table and, separately, the sweep
+	// table (default 1024 each); when exceeded, the oldest terminal
+	// entries are evicted. Their results stay servable from the disk cache.
 	MaxJobs int
 	// RetryBudget bounds automatic re-executions of transiently-failed
 	// jobs — injected I/O faults and recovered internal panics
@@ -156,7 +163,7 @@ type Server struct {
 	sweeps        map[string]*sweep
 	queue         *jobQueue
 	draining      bool
-	drainDeadline time.Time // Drain's ctx deadline; sizes the draining 503's Retry-After
+	drainDeadline time.Time      // Drain's ctx deadline; sizes the draining 503's Retry-After
 	wg            sync.WaitGroup // worker goroutines
 }
 
@@ -321,22 +328,12 @@ func (s *Server) replayJournal() (recovered []*job, pendingSweeps []sweepRecord,
 			gcKeys = append(gcKeys, rec.Key)
 			continue
 		}
-		j := &job{
-			id: jobID(key), key: key, spec: rec.Spec, cfg: cfg,
-			state: StateQueued, created: rec.Created,
-			attempts:  rec.Attempts,
-			recovered: rec.Recovered + 1,
-			seq:       1,
-			done:      make(chan struct{}),
-		}
+		j := newJob(gridPoint{spec: rec.Spec, cfg: cfg, key: key, id: jobID(key)}, time.Time{})
+		j.created, j.attempts, j.recovered = rec.Created, rec.Attempts, rec.Recovered+1
 		if text, ok := s.cachedText(key); ok {
 			// The previous process finished the work and persisted the
 			// report but died before journaling "done".
-			j.state = StateDone
-			j.cached = true
-			j.text = text
-			j.finished = time.Now()
-			close(j.done)
+			j.completeFromCache(text)
 			s.jobs[j.id] = j
 			gcKeys = append(gcKeys, rec.Key)
 			continue
@@ -353,15 +350,15 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 // Handler returns the HTTP API with request logging applied.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit("job", func() submission { return new(JobSpec) }))
+	mux.HandleFunc("GET /v1/jobs", handleList(s, "job", s.jobs))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
+	mux.HandleFunc("GET /v1/jobs/{id}/result", handleResult(s, "job", s.jobs))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
+	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit("sweep", func() submission { return new(SweepSpec) }))
+	mux.HandleFunc("GET /v1/sweeps", handleList(s, "sweep", s.sweeps))
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
-	mux.HandleFunc("GET /v1/sweeps/{id}/result", s.handleSweepResult)
+	mux.HandleFunc("GET /v1/sweeps/{id}/result", handleResult(s, "sweep", s.sweeps))
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -451,129 +448,239 @@ func parseDeadline(r *http.Request) (time.Time, error) {
 	return t, nil
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"job spec exceeds the %d-byte limit (a spec is a handful of scalar knobs; this is not one)", maxBodyBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding job spec: %v", err)
-		return
-	}
-	cfg, key, err := spec.Resolve()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid job spec: %v", err)
-		return
-	}
-	deadline, err := parseDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !deadline.IsZero() && !deadline.After(time.Now()) {
-		s.reg.AddUint("server/deadline_expired_rejects", 1)
-		writeError(w, http.StatusGatewayTimeout,
-			"deadline %s already expired at admission; not queueing doomed work",
-			deadline.UTC().Format(time.RFC3339Nano))
-		return
-	}
-	j, status, retryAfter, err := s.submit(spec, cfg, key, deadline)
-	if err != nil {
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfter))
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, status, j.view())
+// submission is a POST body: a JobSpec or a SweepSpec.
+type submission interface {
+	// points validates the spec and returns its grid in order plus the
+	// sweep manifest that binds it — nil for a job, a one-point grid.
+	points() ([]gridPoint, *sweep, error)
+	// tooBig words the 413 for a body past maxBodyBytes.
+	tooBig() string
 }
 
-// submit deduplicates, consults the response cache, applies load
-// shedding and the queue-depth bound, journals the accepted descriptor,
-// and enqueues. The returned status is 200 for an existing/cached job,
-// 202 for a freshly queued one; on rejection retryAfter carries the
-// Retry-After hint in seconds.
-func (s *Server) submit(spec JobSpec, cfg charonsim.Config, key string, deadline time.Time) (j *job, status, retryAfter int, err error) {
-	id := jobID(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.jobs[id]; ok {
-		existing.mu.Lock()
-		state := existing.state
-		existing.mu.Unlock()
-		switch state {
-		case StateQueued, StateRunning, StateDone:
-			// Single-flight dedup: same descriptor, same job. The first
-			// submitter's deadline governs — a duplicate POST (a client
-			// retry after an ambiguous failure) must not loosen or tighten
-			// work already in flight.
-			s.reg.AddUint("server/dedup_hits", 1)
-			if state == StateDone {
-				s.reg.AddUint("server/cache_hits", 1)
+// handleSubmit serves POST /v1/jobs and POST /v1/sweeps: a bounded,
+// strict decode of the spec, validation, the deadline header, then admit.
+func (s *Server) handleSubmit(name string, newSpec func() submission) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		spec := newSpec()
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(spec); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge, "%s", spec.tooBig())
+				return
 			}
-			return existing, http.StatusOK, 0, nil
+			writeError(w, http.StatusBadRequest, "decoding %s spec: %v", name, err)
+			return
 		}
-		// failed/canceled: fall through and replace with a fresh attempt.
-		delete(s.jobs, id)
+		points, sw, err := spec.points()
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "invalid %s spec: %v", name, err)
+			return
+		}
+		deadline, err := parseDeadline(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if !deadline.IsZero() && !deadline.After(time.Now()) {
+			s.reg.AddUint("server/deadline_expired_rejects", 1)
+			writeError(w, http.StatusGatewayTimeout,
+				"deadline %s already expired at admission; not queueing doomed work",
+				deadline.UTC().Format(time.RFC3339Nano))
+			return
+		}
+		e, status, retryAfter, err := s.admit(points, sw, deadline, true)
+		if err != nil {
+			if retryAfter > 0 {
+				w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+			}
+			writeError(w, status, "%v", err)
+			return
+		}
+		id, _ := e.ident()
+		w.Header().Set("Location", "/v1/"+name+"s/"+id)
+		writeJSON(w, status, e.document())
+	}
+}
+
+// admit is the one admission path: POST /v1/jobs, POST /v1/sweeps and
+// sweep crash recovery all run it. points is the grid in order; sw is the
+// sweep manifest that binds it, or nil for a job — a one-point grid with
+// no manifest. In order, admit
+//
+//  1. dedups the submission against the job table (a job) or the sweep
+//     table (a sweep): a queued, running or done match answers 200, and a
+//     failed or canceled one is replaced by a fresh attempt;
+//  2. refuses while draining;
+//  3. gives every point a job: a tracked one with the same canonical key,
+//     one completed from the result cache, or a fresh one;
+//  4. applies the shed and depth gates once, and only when a fresh job
+//     needs a queue slot. gated is false for crash recovery, which
+//     re-admits work promised before the crash and must never drop it
+//     for lack of a slot;
+//  5. journals each fresh job, and the manifest, before the response
+//     leaves, then enqueues the fresh jobs in grid order.
+//
+// A refused submission changes nothing but its refusal counter. admit
+// returns the entry to answer with — the job, or the (possibly already
+// tracked) sweep — and the status: 200 when nothing was queued and
+// nothing is pending, 202 otherwise. On refusal retryAfter carries the
+// Retry-After hint in seconds.
+func (s *Server) admit(points []gridPoint, sw *sweep, deadline time.Time, gated bool) (e entry, status, retryAfter int, err error) {
+	s.mu.Lock()
+	e, status, retryAfter, err = s.admitLocked(points, sw, deadline, gated)
+	s.mu.Unlock()
+	if sw, ok := e.(*sweep); ok {
+		s.maybeFinishSweep(sw) // a grid answered by dedup and cache alone is born terminal
+	}
+	return e, status, retryAfter, err
+}
+
+func (s *Server) admitLocked(points []gridPoint, sw *sweep, deadline time.Time, gated bool) (entry, int, int, error) {
+	what := "jobs"
+	if sw == nil {
+		if j := s.trackedLocked(points[0].id); j != nil {
+			// Single-flight dedup: the same descriptor is the same job. The
+			// first submitter's deadline governs — a duplicate POST (a
+			// client retry after an ambiguous failure) must not loosen or
+			// tighten work already in flight.
+			s.countReuse(j)
+			return j, http.StatusOK, 0, nil
+		}
+	} else {
+		what = "sweeps"
+		if existing, ok := s.sweeps[sw.id]; ok {
+			if state := aggregateState(existing.counts()); state != StateFailed && state != StateCanceled {
+				// The same grid is the same sweep: reuse its children, and
+				// through them every cached child result.
+				s.reg.AddUint("server/sweep_dedup_hits", 1)
+				return existing, http.StatusOK, 0, nil
+			}
+		}
 	}
 	if s.draining {
 		return nil, http.StatusServiceUnavailable, s.drainRetryAfterLocked(),
-			errors.New("server is draining; not accepting new jobs")
-	}
-	s.reg.AddUint("server/jobs_submitted", 1)
-
-	j = &job{id: id, key: key, spec: spec, cfg: cfg, deadline: deadline,
-		state: StateQueued, created: time.Now(), seq: 1, done: make(chan struct{})}
-
-	// Warm path: a prior run of this exact descriptor — possibly by an
-	// earlier process over the same cache directory — already persisted
-	// the report.
-	if text, ok := s.cachedText(key); ok {
-		j.state = StateDone
-		j.cached = true
-		j.text = text
-		j.finished = time.Now()
-		close(j.done)
-		s.insertLocked(j)
-		s.reg.AddUint("server/cache_hits", 1)
-		return j, http.StatusOK, 0, nil
-	}
-	s.reg.AddUint("server/cache_misses", 1)
-
-	// Latency-aware shedding: refuse work we could queue but not serve
-	// within the configured wait bound. Softer and earlier than the hard
-	// depth limit below, with an honest Retry-After.
-	if wait := s.estimatedWait(s.queue.len()); s.cfg.ShedLatency > 0 && wait > s.cfg.ShedLatency {
-		s.reg.AddUint("server/shed_rejected", 1)
-		return nil, http.StatusServiceUnavailable, retryAfterSeconds(wait),
-			fmt.Errorf("estimated queue wait %s exceeds the %s shed bound; retry later",
-				wait.Round(time.Millisecond), s.cfg.ShedLatency)
+			fmt.Errorf("server is draining; not accepting new %s", what)
 	}
 
-	// Hard depth bound. The internal queue is unbounded (journal recovery
-	// and sweep expansion pre-seed it past the depth), so the
-	// client-facing limit is an explicit length check.
-	if s.queue.len() >= s.cfg.QueueDepth {
-		s.reg.AddUint("server/queue_rejected", 1)
-		return nil, http.StatusTooManyRequests, 1,
-			fmt.Errorf("admission queue full (%d queued); retry later", s.cfg.QueueDepth)
+	children := make([]*job, len(points))
+	var fresh []*job
+	for i, p := range points {
+		if j := s.trackedLocked(p.id); j != nil {
+			children[i] = j
+			continue
+		}
+		j := newJob(p, deadline)
+		// Warm path: a prior run of this exact descriptor — possibly by an
+		// earlier process over the same cache directory — already
+		// persisted the report.
+		if text, ok := s.cachedText(p.key); ok {
+			j.completeFromCache(text)
+		} else {
+			fresh = append(fresh, j)
+		}
+		children[i] = j
 	}
 
-	// Durability point: the accepted descriptor is journaled before the
-	// 202 leaves the building, so a crash at any later moment leaves a
-	// record to replay.
-	s.insertLocked(j)
-	s.journal.record(j)
-	s.queue.push(j)
+	if len(fresh) > 0 && gated {
+		// Latency-aware shedding: refuse work we could queue but not
+		// serve within the configured wait bound. Softer and earlier than
+		// the hard depth limit below, with an honest Retry-After.
+		if wait := s.estimatedWait(s.queue.len()); s.cfg.ShedLatency > 0 && wait > s.cfg.ShedLatency {
+			s.reg.AddUint("server/shed_rejected", 1)
+			return nil, http.StatusServiceUnavailable, retryAfterSeconds(wait),
+				fmt.Errorf("estimated queue wait %s exceeds the %s shed bound; retry later",
+					wait.Round(time.Millisecond), s.cfg.ShedLatency)
+		}
+		// Hard depth bound, checked against the queue as it stands: once
+		// admitted, a grid's fresh jobs enqueue together — transiently
+		// past QueueDepth, which later submissions then see as a full
+		// queue. Batch work is never half-queued.
+		if s.queue.len() >= s.cfg.QueueDepth {
+			s.reg.AddUint("server/queue_rejected", 1)
+			return nil, http.StatusTooManyRequests, 1,
+				fmt.Errorf("admission queue full (%d queued); retry later", s.cfg.QueueDepth)
+		}
+	}
+
+	// Admitted. Durability point: each fresh job, and the manifest, is
+	// journaled before the response leaves the building, so a crash at any
+	// later moment leaves a record to replay.
+	for _, j := range children {
+		if s.jobs[j.id] == j { // tracked: reused as is
+			s.countReuse(j)
+			continue
+		}
+		s.jobs[j.id] = j
+		if j.cached {
+			s.reg.AddUint("server/cache_hits", 1)
+			continue
+		}
+		s.reg.AddUint("server/cache_misses", 1)
+		s.reg.AddUint("server/jobs_submitted", 1)
+		s.journal.record(j)
+	}
+	evictLocked(s.jobs, s.cfg.MaxJobs)
+	var answer entry = children[0]
+	if sw != nil {
+		sw.children = children
+		sw.childIDs = make(map[string]bool, len(children))
+		for _, j := range children {
+			sw.childIDs[j.id] = true
+		}
+		s.sweeps[sw.id] = sw
+		evictLocked(s.sweeps, s.cfg.MaxJobs)
+		s.journal.record(sw)
+		if gated {
+			s.reg.AddUint("server/sweeps_submitted", 1)
+			s.reg.AddUint("server/sweep_children", uint64(len(children)))
+			s.reg.AddUint("server/sweep_child_dedup", uint64(len(children)-len(fresh)))
+		}
+		answer = sw
+	}
+	for _, j := range fresh {
+		s.queue.push(j)
+	}
 	s.reg.SetMax("server/queue_high_water", float64(s.queue.len()))
-	return j, http.StatusAccepted, 0, nil
+	if len(fresh) == 0 && !pending(children) {
+		return answer, http.StatusOK, 0, nil
+	}
+	return answer, http.StatusAccepted, 0, nil
+}
+
+// trackedLocked returns the tracked job under id while it still answers
+// for its descriptor — queued, running or done. A failed or canceled job
+// does not: admission replaces it with a fresh attempt. Callers hold s.mu.
+func (s *Server) trackedLocked(id string) *job {
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil
+	}
+	if state, _, _ := j.snapshot(); state == StateFailed || state == StateCanceled {
+		return nil
+	}
+	return j
+}
+
+// countReuse counts an admission answered by a tracked job: a dedup hit,
+// and a cache hit too once the job is done.
+func (s *Server) countReuse(j *job) {
+	s.reg.AddUint("server/dedup_hits", 1)
+	if state, _, _ := j.snapshot(); state == StateDone {
+		s.reg.AddUint("server/cache_hits", 1)
+	}
+}
+
+// pending reports whether any of children still owes a terminal state.
+func pending(children []*job) bool {
+	for _, j := range children {
+		if state, _, _ := j.snapshot(); !terminalState(state) {
+			return true
+		}
+	}
+	return false
 }
 
 // estimatedWait predicts how long a job with `ahead` queued jobs in
@@ -608,62 +715,80 @@ func (s *Server) drainRetryAfterLocked() int {
 	return retryAfterSeconds(s.estimatedWait(s.queue.len()))
 }
 
-// pollRetryAfter hints when a result poller should come back. A queued
-// job's hint is position-aware: only the jobs actually ahead of it (plus
-// its own expected run) feed the estimate, so a job at the head of a
-// deep queue is never told to back off behind the whole queue. A running
-// job polls at the 1-second floor.
-func (s *Server) pollRetryAfter(j *job) int {
-	j.mu.Lock()
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if !queued {
+// retryAfter hints when a poller of children should come back. The grid
+// finishes with its deepest queued child, so that child's position
+// governs: only the jobs ahead of it, plus its own expected run, feed the
+// estimate — a job at the head of a deep queue is never told to back off
+// behind the whole queue. With no child queued (all running or terminal)
+// the hint is the 1-second floor.
+func (s *Server) retryAfter(children []*job) int {
+	deepest := -1
+	for _, j := range children {
+		if state, _, _ := j.snapshot(); state == StateQueued {
+			// Position -1 is popped but not yet running: it is next.
+			deepest = max(deepest, s.queue.position(j.id), 0)
+		}
+	}
+	if deepest < 0 {
 		return 1
 	}
-	ahead := s.queue.position(j.id)
-	if ahead < 0 {
-		// Popped but not yet transitioned: it is next.
-		ahead = 0
-	}
-	return retryAfterSeconds(s.estimatedWait(ahead + 1))
+	return retryAfterSeconds(s.estimatedWait(deepest + 1))
 }
 
-// insertLocked adds j to the job table and evicts terminal jobs past the
-// retention bound. Eviction prefers terminal jobs whose result has
-// already been fetched (oldest first) and only then falls back to
-// unfetched terminal jobs — a done job nobody has read yet still owes
-// its submitter an answer, so it must never be displaced by older jobs
-// that already delivered theirs. Callers hold s.mu.
-func (s *Server) insertLocked(j *job) {
-	s.jobs[j.id] = j
-	for len(s.jobs) > s.cfg.MaxJobs {
-		var oldestFetched, oldestUnfetched *job
-		for _, cand := range s.jobs {
-			cand.mu.Lock()
-			terminal := cand.state == StateDone || cand.state == StateFailed || cand.state == StateCanceled
-			fetched := cand.fetched
-			created := cand.created
-			cand.mu.Unlock()
+// entry is a tracked resource served under /v1: a job, or a sweep over
+// child jobs. A job is the one-point grid of itself, so listing, results
+// and retention treat both alike.
+type entry interface {
+	ident() (id string, created time.Time)
+	document() any // status JSON
+	jobs() []*job  // grid order
+	retention() (terminal, fetched bool)
+	markFetched()
+	// refusal words a failed or canceled child's error for the result
+	// endpoint.
+	refusal(child *job, state, errMsg string) string
+}
+
+// evictLocked drops terminal entries from table until at most limit
+// remain. Fetched entries go first, oldest first, and only then unfetched
+// ones — a terminal answer nobody has read yet still owes its submitter,
+// so it must never be displaced by older entries that already delivered
+// theirs. Live entries are never evicted: when only they remain, the
+// table grows past limit. Callers hold s.mu.
+func evictLocked[E entry](table map[string]E, limit int) {
+	for len(table) > limit {
+		var victim string
+		var victimFetched bool
+		var victimCreated time.Time
+		for id, e := range table {
+			terminal, fetched := e.retention()
 			if !terminal {
 				continue
 			}
-			if fetched {
-				if oldestFetched == nil || created.Before(oldestFetched.created) {
-					oldestFetched = cand
-				}
-			} else if oldestUnfetched == nil || created.Before(oldestUnfetched.created) {
-				oldestUnfetched = cand
+			_, created := e.ident()
+			if victim == "" || fetched && !victimFetched ||
+				fetched == victimFetched && created.Before(victimCreated) {
+				victim, victimFetched, victimCreated = id, fetched, created
 			}
 		}
-		victim := oldestFetched
-		if victim == nil {
-			victim = oldestUnfetched
+		if victim == "" {
+			return
 		}
-		if victim == nil {
-			return // everything is live; let the table grow
-		}
-		delete(s.jobs, victim.id)
+		delete(table, victim)
 	}
+}
+
+// lookup finds the entry the request's {id} names in table, answering 404
+// itself when there is none.
+func lookup[E entry](s *Server, name string, table map[string]E, w http.ResponseWriter, r *http.Request) (E, bool) {
+	id := r.PathValue("id")
+	s.mu.Lock()
+	e, ok := table[id]
+	s.mu.Unlock()
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown %s %q", name, id)
+	}
+	return e, ok
 }
 
 // cachedResult is the response-cache payload.
@@ -705,77 +830,81 @@ func (s *Server) persistResult(key, experiment, text string) {
 	s.cacheHealth.observe(s.results.Put(key, payload))
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	views := make([]view, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		views = append(views, j.view())
+// handleList serves GET /v1/jobs and GET /v1/sweeps: every tracked entry
+// of table, newest first, id as tie-break.
+func handleList[E entry](s *Server, name string, table map[string]E) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.mu.Lock()
+		entries := make([]E, 0, len(table))
+		for _, e := range table {
+			entries = append(entries, e)
+		}
+		s.mu.Unlock()
+		sort.Slice(entries, func(a, b int) bool {
+			ida, ca := entries[a].ident()
+			idb, cb := entries[b].ident()
+			if !ca.Equal(cb) {
+				return ca.After(cb)
+			}
+			return ida < idb
+		})
+		docs := make([]any, len(entries))
+		for i, e := range entries {
+			docs[i] = e.document()
+		}
+		writeJSON(w, http.StatusOK, map[string]any{name + "s": docs})
 	}
-	s.mu.Unlock()
-	// Stable order: newest first, id as tie-break.
-	sortViews(views)
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": views})
 }
 
-func sortViews(vs []view) {
-	for i := 1; i < len(vs); i++ {
-		for k := i; k > 0 && viewLess(vs[k], vs[k-1]); k-- {
-			vs[k], vs[k-1] = vs[k-1], vs[k]
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	if j, ok := lookup(s, "job", s.jobs, w, r); ok {
+		writeJSON(w, http.StatusOK, j.view())
+	}
+}
+
+// handleResult serves GET /v1/jobs/{id}/result and GET
+// /v1/sweeps/{id}/result over the entry's grid: 202 + Retry-After while
+// any child is pending, then the first failed or canceled child's error,
+// else every child's report concatenated in grid order — one report for a
+// job. Each report came through cli.RenderReports, the CLI's formatter,
+// so the bytes equal the equivalent charonsim runs with their wall-clock
+// trailers stripped.
+func handleResult[E entry](s *Server, name string, table map[string]E) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		e, ok := lookup(s, name, table, w, r)
+		if !ok {
+			return
+		}
+		children := e.jobs()
+		if pending(children) {
+			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(children)))
+			writeJSON(w, http.StatusAccepted, e.document())
+			return
+		}
+		e.markFetched()
+		for _, j := range children {
+			state, _, errMsg := j.snapshot()
+			j.markFetched()
+			switch state {
+			case StateFailed:
+				writeError(w, http.StatusInternalServerError, "%s", e.refusal(j, state, errMsg))
+				return
+			case StateCanceled:
+				writeError(w, http.StatusGone, "%s", e.refusal(j, state, errMsg))
+				return
+			}
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		for _, j := range children {
+			_, text, _ := j.snapshot()
+			io.WriteString(w, text)
 		}
 	}
 }
 
-func viewLess(a, b view) bool {
-	if a.Created != b.Created {
-		return a.Created > b.Created
-	}
-	return a.ID < b.ID
-}
-
-func (s *Server) jobFor(r *http.Request) (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[r.PathValue("id")]
-	return j, ok
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFor(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, j.view())
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFor(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	state, text, errMsg := j.snapshot()
-	switch state {
-	case StateDone:
-		j.markFetched()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, text)
-	case StateFailed:
-		j.markFetched()
-		writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
-	case StateCanceled:
-		j.markFetched()
-		writeError(w, http.StatusGone, "job was canceled: %s", errMsg)
-	default: // queued, running
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.pollRetryAfter(j)))
-		writeJSON(w, http.StatusAccepted, j.view())
-	}
-}
-
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFor(r)
+	j, ok := lookup(s, "job", s.jobs, w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	if s.cancelJob(j, "canceled by client") {

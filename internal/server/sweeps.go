@@ -1,11 +1,9 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -66,9 +64,10 @@ type SweepSpec struct {
 	WatchdogQueue  int     `json:"watchdog_queue,omitempty"`
 }
 
-// sweepChild is one expanded grid point: the child's job descriptor plus
-// its resolved config and canonical identity.
-type sweepChild struct {
+// gridPoint is one point of a submission's grid: the job descriptor plus
+// its resolved config and canonical identity. A sweep expands to one per
+// grid point; a job is a one-point grid.
+type gridPoint struct {
 	spec JobSpec
 	cfg  charonsim.Config
 	key  string
@@ -83,7 +82,7 @@ type sweepChild struct {
 // the same job: same key, same id, same cache entry. The key is the
 // ordered concatenation of the child keys — two sweeps are the same
 // sweep exactly when they expand to the same children in the same order.
-func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
+func (sp SweepSpec) Expand() ([]gridPoint, string, error) {
 	if len(sp.Experiments) == 0 {
 		return nil, "", fmt.Errorf("missing experiments list (each one of %v, or \"all\")", charonsim.Experiments())
 	}
@@ -104,7 +103,7 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 		return nil, "", fmt.Errorf("sweep expands to %d children, above the %d bound; split the grid", points, maxSweepChildren)
 	}
 
-	var children []sweepChild
+	var children []gridPoint
 	seen := map[string]int{}
 	add := func(child JobSpec) error {
 		cfg, key, err := child.Resolve()
@@ -115,7 +114,7 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 			return fmt.Errorf("duplicate grid point: children %d and %d are the same job (%s)", prev, len(children), key)
 		}
 		seen[key] = len(children)
-		children = append(children, sweepChild{spec: child, cfg: cfg, key: key, id: jobID(key)})
+		children = append(children, gridPoint{spec: child, cfg: cfg, key: key, id: jobID(key)})
 		return nil
 	}
 	for _, exp := range sp.Experiments {
@@ -155,6 +154,20 @@ func (sp SweepSpec) Expand() ([]sweepChild, string, error) {
 	return children, key, nil
 }
 
+// points expands the sweep into its grid and the untracked manifest that
+// will bind it.
+func (sp SweepSpec) points() ([]gridPoint, *sweep, error) {
+	points, key, err := sp.Expand()
+	if err != nil {
+		return nil, nil, err
+	}
+	return points, &sweep{id: jobID(key), key: key, spec: sp, created: time.Now(), seq: 1}, nil
+}
+
+func (SweepSpec) tooBig() string {
+	return fmt.Sprintf("sweep spec exceeds the %d-byte limit", maxBodyBytes)
+}
+
 // sweep is one tracked batch: an ordered set of child jobs sharing the
 // server's dedup/cache/journal machinery. The children are fixed at
 // admission (or recovery) — a later individual resubmission of a failed
@@ -167,16 +180,40 @@ type sweep struct {
 	spec    SweepSpec
 	created time.Time
 
-	children []*job          // grid order; immutable after construction
+	children []*job          // grid order; immutable once admitted
 	childIDs map[string]bool // membership index for noteChildTerminal
 
 	mu         sync.Mutex
 	recovered  int    // journal crash-replay generations
 	seq        uint64 // orders journal manifest writes
 	finalState string // terminal aggregate state once journaled ("" while active)
+	fetched    bool   // terminal answer delivered to at least one result fetch
 }
 
-func (sw *sweep) contains(jobID string) bool { return sw.childIDs[jobID] }
+func (sw *sweep) ident() (string, time.Time) { return sw.id, sw.created }
+func (sw *sweep) document() any              { return sw.view() }
+func (sw *sweep) jobs() []*job               { return sw.children }
+
+// retention reports a sweep terminal once its terminal manifest is
+// journaled, so eviction never loses that write.
+func (sw *sweep) retention() (terminal, fetched bool) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.finalState != "", sw.fetched
+}
+
+func (sw *sweep) markFetched() {
+	sw.mu.Lock()
+	sw.fetched = true
+	sw.mu.Unlock()
+}
+
+func (sw *sweep) refusal(j *job, state, errMsg string) string {
+	if state == StateFailed {
+		return fmt.Sprintf("sweep failed: child %s (%s): %s", j.id, j.spec.Experiment, errMsg)
+	}
+	return fmt.Sprintf("sweep child %s (%s) was canceled: %s", j.id, j.spec.Experiment, errMsg)
+}
 
 // sweepCounts is the per-state census of a sweep's children.
 type sweepCounts struct {
@@ -247,13 +284,20 @@ type sweepRecord struct {
 	Recovered int       `json:"recovered,omitempty"`
 }
 
-// record snapshots the sweep as a journal manifest. Callers hold sw.mu.
-func (sw *sweep) recordLocked(state string) sweepRecord {
+// journalEntry snapshots the manifest: active until the terminal
+// aggregate state is set.
+func (sw *sweep) journalEntry() (id, key string, seq uint64, rec any) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	state := sw.finalState
+	if state == "" {
+		state = SweepStateActive
+	}
 	ids := make([]string, len(sw.children))
 	for i, j := range sw.children {
 		ids[i] = j.id
 	}
-	return sweepRecord{
+	return sw.id, sw.key, sw.seq, sweepRecord{
 		Schema: journalSchema, Kind: journalKindSweep,
 		ID: sw.id, Key: sw.key, Spec: sw.spec, State: state,
 		Created: sw.created, Updated: time.Now(),
@@ -313,178 +357,6 @@ func (sw *sweep) view() sweepView {
 	return v
 }
 
-func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec SweepSpec
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"sweep spec exceeds the %d-byte limit", maxBodyBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding sweep spec: %v", err)
-		return
-	}
-	children, key, err := spec.Expand()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid sweep spec: %v", err)
-		return
-	}
-	deadline, err := parseDeadline(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !deadline.IsZero() && !deadline.After(time.Now()) {
-		s.reg.AddUint("server/deadline_expired_rejects", 1)
-		writeError(w, http.StatusGatewayTimeout,
-			"deadline %s already expired at admission; not queueing doomed work",
-			deadline.UTC().Format(time.RFC3339Nano))
-		return
-	}
-	sw, status, retryAfter, err := s.submitSweep(spec, children, key, deadline)
-	if err != nil {
-		if retryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfter))
-		}
-		writeError(w, status, "%v", err)
-		return
-	}
-	w.Header().Set("Location", "/v1/sweeps/"+sw.id)
-	writeJSON(w, status, sw.view())
-}
-
-// submitSweep admits one sweep: single-flight dedup on the sweep key,
-// then per-child admission through the shared job machinery (each child
-// deduplicates against in-flight jobs and the result cache exactly like
-// an individual POST /v1/jobs), a journaled manifest before the response
-// leaves, and the children enqueued in grid order. The returned status
-// is 200 for an existing (or instantly cache-complete) sweep, 202 when
-// any child was freshly queued.
-func (s *Server) submitSweep(spec SweepSpec, children []sweepChild, key string, deadline time.Time) (sw *sweep, status, retryAfter int, err error) {
-	id := jobID(key)
-	s.mu.Lock()
-	if existing, ok := s.sweeps[id]; ok {
-		state := aggregateState(existing.counts())
-		if state != StateFailed && state != StateCanceled {
-			// Single-flight dedup: the same grid is the same sweep, and a
-			// duplicate submission must reuse its children (and through
-			// them every cached child result) rather than re-running.
-			s.reg.AddUint("server/sweep_dedup_hits", 1)
-			s.mu.Unlock()
-			return existing, http.StatusOK, 0, nil
-		}
-		// failed/canceled: fall through and replace with a fresh attempt,
-		// mirroring individual-job resubmission semantics.
-		delete(s.sweeps, id)
-	}
-	if s.draining {
-		defer s.mu.Unlock()
-		return nil, http.StatusServiceUnavailable, s.drainRetryAfterLocked(),
-			errors.New("server is draining; not accepting new sweeps")
-	}
-	if wait := s.estimatedWait(s.queue.len()); s.cfg.ShedLatency > 0 && wait > s.cfg.ShedLatency {
-		s.reg.AddUint("server/shed_rejected", 1)
-		s.mu.Unlock()
-		return nil, http.StatusServiceUnavailable, retryAfterSeconds(wait),
-			fmt.Errorf("estimated queue wait %s exceeds the %s shed bound; retry later",
-				wait.Round(time.Millisecond), s.cfg.ShedLatency)
-	}
-	// The depth bound gates sweep admission as a whole: a sweep needs a
-	// free slot to start, and once admitted its children enqueue
-	// atomically — transiently past QueueDepth, which subsequent single
-	// submissions then see as a full queue. Batch work is admitted
-	// all-or-nothing; it is never half-queued.
-	if s.queue.len() >= s.cfg.QueueDepth {
-		s.reg.AddUint("server/queue_rejected", 1)
-		s.mu.Unlock()
-		return nil, http.StatusTooManyRequests, 1,
-			fmt.Errorf("admission queue full (%d queued); retry later", s.cfg.QueueDepth)
-	}
-	s.reg.AddUint("server/sweeps_submitted", 1)
-
-	sw = &sweep{
-		id: id, key: key, spec: spec, created: time.Now(),
-		childIDs: map[string]bool{}, seq: 1,
-	}
-	fresh := 0
-	for _, c := range children {
-		j, isNew := s.admitChildLocked(c, deadline)
-		if isNew {
-			fresh++
-		} else {
-			s.reg.AddUint("server/sweep_child_dedup", 1)
-		}
-		sw.children = append(sw.children, j)
-		sw.childIDs[j.id] = true
-	}
-	s.reg.AddUint("server/sweep_children", uint64(len(children)))
-	s.sweeps[id] = sw
-	s.reg.SetMax("server/queue_high_water", float64(s.queue.len()))
-
-	// Durability point: the manifest is journaled before the response,
-	// so a crash from here on replays the sweep — with these exact child
-	// ids — instead of losing the batch.
-	sw.mu.Lock()
-	rec := sw.recordLocked(SweepStateActive)
-	seq := sw.seq
-	sw.mu.Unlock()
-	s.journal.recordSweep(rec, seq)
-	s.mu.Unlock()
-
-	status = http.StatusAccepted
-	if fresh == 0 && !sw.counts().pending() {
-		// Every grid point was already answered (dedup or cache): the
-		// sweep is born terminal.
-		status = http.StatusOK
-	}
-	s.maybeFinishSweep(sw)
-	return sw, status, 0, nil
-}
-
-// admitChildLocked admits one sweep child through the same machinery an
-// individual submission uses: reuse an in-flight or completed job with
-// the same canonical key, serve the on-disk result cache, or journal and
-// enqueue a fresh job. isNew reports whether a fresh job was queued.
-// Callers hold s.mu.
-func (s *Server) admitChildLocked(c sweepChild, deadline time.Time) (j *job, isNew bool) {
-	if existing, ok := s.jobs[c.id]; ok {
-		existing.mu.Lock()
-		state := existing.state
-		existing.mu.Unlock()
-		switch state {
-		case StateQueued, StateRunning, StateDone:
-			s.reg.AddUint("server/dedup_hits", 1)
-			if state == StateDone {
-				s.reg.AddUint("server/cache_hits", 1)
-			}
-			return existing, false
-		}
-		delete(s.jobs, c.id) // failed/canceled: fresh attempt below
-	}
-	j = &job{id: c.id, key: c.key, spec: c.spec, cfg: c.cfg, deadline: deadline,
-		state: StateQueued, created: time.Now(), seq: 1, done: make(chan struct{})}
-	if text, ok := s.cachedText(c.key); ok {
-		j.state = StateDone
-		j.cached = true
-		j.text = text
-		j.finished = time.Now()
-		close(j.done)
-		s.insertLocked(j)
-		s.reg.AddUint("server/cache_hits", 1)
-		return j, false
-	}
-	s.reg.AddUint("server/cache_misses", 1)
-	s.reg.AddUint("server/jobs_submitted", 1)
-	s.insertLocked(j)
-	s.journal.record(j)
-	s.queue.push(j)
-	return j, true
-}
-
 // noteChildTerminal runs after any job reaches a terminal state: every
 // sweep containing it re-aggregates, and a sweep whose last child just
 // settled journals its terminal manifest.
@@ -492,7 +364,7 @@ func (s *Server) noteChildTerminal(j *job) {
 	s.mu.Lock()
 	var owners []*sweep
 	for _, sw := range s.sweeps {
-		if sw.contains(j.id) {
+		if sw.childIDs[j.id] {
 			owners = append(owners, sw)
 		}
 	}
@@ -516,10 +388,8 @@ func (s *Server) maybeFinishSweep(sw *sweep) {
 	}
 	sw.finalState = state
 	sw.seq++
-	rec := sw.recordLocked(state)
-	seq := sw.seq
 	sw.mu.Unlock()
-	s.journal.recordSweep(rec, seq)
+	s.journal.record(sw)
 	switch state {
 	case StateDone:
 		s.reg.AddUint("server/sweeps_completed", 1)
@@ -531,159 +401,43 @@ func (s *Server) maybeFinishSweep(sw *sweep) {
 	s.log.Info("sweep finish", "sweep", sw.id, "state", state, "children", len(sw.children))
 }
 
-// recoverSweeps rebuilds journaled sweep manifests after a crash: the
-// spec re-expands to the same ordered grid, each child reattaches to its
-// recovered job (replayed moments earlier under its original id), or is
-// completed from the result cache, or — for the narrow crash window
-// where a child's own journal record never landed — is re-admitted
-// fresh under the same deterministic id. Returns journal keys to GC
-// (none today: a recovered manifest overwrites its own key).
+// recoverSweeps rebuilds journaled sweep manifests after a crash through
+// the one admission path, ungated: the spec re-expands to the same
+// ordered grid, and each child reattaches to its recovered job (replayed
+// moments earlier under its original id), is completed from the result
+// cache, or — for the narrow crash window where a child's own journal
+// record never landed — is re-admitted fresh under the same
+// deterministic id. Returns journal keys to GC (none today: a recovered
+// manifest overwrites its own key).
 func (s *Server) recoverSweeps(recs []sweepRecord) (gcKeys []string) {
 	for _, rec := range recs {
-		children, key, err := rec.Spec.Expand()
+		points, key, err := rec.Spec.Expand()
 		if err != nil { // replay() pre-checked; defensive
 			gcKeys = append(gcKeys, rec.Key)
 			continue
 		}
 		sw := &sweep{
 			id: jobID(key), key: key, spec: rec.Spec, created: rec.Created,
-			childIDs:  map[string]bool{},
-			recovered: rec.Recovered + 1,
-			seq:       1,
+			recovered: rec.Recovered + 1, seq: 1,
 		}
-		s.mu.Lock()
-		for _, c := range children {
-			j, isNew := s.admitChildLocked(c, time.Time{})
-			if isNew {
-				s.log.Info("journal: re-admitted lost sweep child", "sweep", sw.id, "job", j.id)
-			}
-			sw.children = append(sw.children, j)
-			sw.childIDs[j.id] = true
-		}
-		s.sweeps[sw.id] = sw
-		s.mu.Unlock()
-
-		sw.mu.Lock()
-		manifest := sw.recordLocked(SweepStateActive)
-		seq := sw.seq
-		sw.mu.Unlock()
-		s.journal.recordSweep(manifest, seq)
+		s.admit(points, sw, time.Time{}, false)
 		s.reg.AddUint("server/sweeps_recovered", 1)
 		s.log.Info("journal: recovered sweep", "sweep", sw.id,
 			"children", len(sw.children), "generation", sw.recovered)
-		s.maybeFinishSweep(sw)
 	}
 	return gcKeys
 }
 
-func (s *Server) sweepFor(r *http.Request) (*sweep, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[r.PathValue("id")]
-	return sw, ok
-}
-
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sweeps := make([]*sweep, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		sweeps = append(sweeps, sw)
-	}
-	s.mu.Unlock()
-	views := make([]sweepView, 0, len(sweeps))
-	for _, sw := range sweeps {
-		views = append(views, sw.view())
-	}
-	// Stable order: newest first, id as tie-break (same rule as jobs).
-	for i := 1; i < len(views); i++ {
-		for k := i; k > 0 && sweepViewLess(views[k], views[k-1]); k-- {
-			views[k], views[k-1] = views[k-1], views[k]
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"sweeps": views})
-}
-
-func sweepViewLess(a, b sweepView) bool {
-	if a.Created != b.Created {
-		return a.Created > b.Created
-	}
-	return a.ID < b.ID
-}
-
+// handleSweepGet serves a sweep's status; while any child is pending it
+// carries the position-aware Retry-After a poller should honor.
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFor(r)
+	sw, ok := lookup(s, "sweep", s.sweeps, w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 		return
 	}
 	v := sw.view()
 	if !terminalState(v.State) {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.sweepRetryAfter(sw)))
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(sw.children)))
 	}
 	writeJSON(w, http.StatusOK, v)
-}
-
-// sweepRetryAfter hints when a sweep poller should come back: the sweep
-// finishes with its deepest queued child, so that child's queue position
-// governs — position-aware, like single-job polling. With nothing queued
-// (children running or terminal) the hint is the 1-second floor.
-func (s *Server) sweepRetryAfter(sw *sweep) int {
-	deepest := -1
-	for _, j := range sw.children {
-		if pos := s.queue.position(j.id); pos > deepest {
-			deepest = pos
-		}
-	}
-	if deepest < 0 {
-		return 1
-	}
-	return retryAfterSeconds(s.estimatedWait(deepest + 1))
-}
-
-// handleSweepResult serves the combined report: every child's rendered
-// text concatenated in grid order. Each child's bytes came through
-// cli.RenderReports (the same formatter the CLI uses), so the combined
-// document is byte-identical to running the equivalent charonsim
-// invocations locally and concatenating their reports.
-func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFor(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
-		return
-	}
-	c := sw.counts()
-	if c.pending() {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.sweepRetryAfter(sw)))
-		writeJSON(w, http.StatusAccepted, sw.view())
-		return
-	}
-	if c.failed > 0 || c.canceled > 0 {
-		for _, j := range sw.children {
-			state, _, errMsg := j.snapshot()
-			j.markFetched()
-			if state == StateFailed {
-				writeError(w, http.StatusInternalServerError,
-					"sweep failed: child %s (%s): %s", j.id, j.spec.Experiment, errMsg)
-				return
-			}
-			if state == StateCanceled {
-				writeError(w, http.StatusGone,
-					"sweep child %s (%s) was canceled: %s", j.id, j.spec.Experiment, errMsg)
-				return
-			}
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, j := range sw.children {
-		_, text, _ := j.snapshot()
-		j.markFetched()
-		io.WriteString(w, text)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

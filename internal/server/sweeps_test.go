@@ -125,9 +125,9 @@ func TestSweepExpansion(t *testing.T) {
 	}
 
 	bad := []SweepSpec{
-		{},                                       // no experiments
-		{Experiments: []string{"no-such"}},       // unknown experiment
-		{Experiments: []string{"fig12", "fig12"}}, // duplicate grid point
+		{},                                 // no experiments
+		{Experiments: []string{"no-such"}}, // unknown experiment
+		{Experiments: []string{"fig12", "fig12"}},                      // duplicate grid point
 		{Experiments: []string{"fig12"}, Workloads: []string{" ", ""}}, // vacuous workloads
 		{Experiments: []string{"fig12"}, HeapFactors: []float64{-3}},   // invalid knob
 	}
@@ -356,7 +356,7 @@ func TestPollRetryAfterPositionAware(t *testing.T) {
 		s.mu.Lock()
 		j := s.jobs[v.ID]
 		s.mu.Unlock()
-		return s.pollRetryAfter(j)
+		return s.retryAfter([]*job{j})
 	}
 	if got := ra(b); got != 10 {
 		t.Fatalf("head-of-queue Retry-After = %d, want 10 (one job ahead of completion)", got)
