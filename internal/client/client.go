@@ -2,9 +2,10 @@
 // resilient network edge in front of internal/server. It wraps every
 // exchange in the discipline a flaky network demands:
 //
-//   - Bounded exponential-backoff retries with deterministic, seedable
-//     jitter, honoring server Retry-After hints (the 429 queue-full, 503
-//     shed/drain, and 202 poll paths all send one).
+//   - Bounded exponential-backoff retries on the server's own schedule
+//     (server.BackoffDelay, keyed by seed and request), honoring server
+//     Retry-After hints (the 429 queue-full, 503 shed/drain, and 202 poll
+//     paths all send one).
 //   - Safe-to-retry submissions: job IDs are canonical content keys and
 //     the server deduplicates single-flight, so a duplicated POST — a
 //     retransmit after an ambiguous reset, or a hedge — lands on the
@@ -12,14 +13,12 @@
 //   - Optional hedged GETs: when HedgeDelay elapses without a response,
 //     a second identical request races the first; first complete answer
 //     wins, the loser is canceled.
-//   - A per-host circuit breaker (closed→open→half-open) with
-//     deterministic probe scheduling, so a dead host is not hammered.
 //   - Client-side deadlines propagated over the wire: a context deadline
 //     becomes an X-Charon-Deadline header, and the server derives the
 //     job's execution deadline from it — the caller's patience bounds
 //     the work, end to end.
 //
-// Every retry, hedge, and breaker transition lands in a metrics.Registry
+// Every retry, hedge, and honored hint lands in a metrics.Registry
 // (Metrics()), so chaos harnesses can reconcile client-side counters
 // against the faults a netfault proxy injected.
 package client
@@ -36,10 +35,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"charonsim/internal/fault"
 	"charonsim/internal/metrics"
 	"charonsim/internal/server"
 )
@@ -58,32 +55,27 @@ type Config struct {
 	// attempt (default 4; negative disables retries).
 	RetryBudget int
 	// RetryBackoff is the initial retry delay (default 100ms); it doubles
-	// per attempt up to 64x, plus up to +50% deterministic jitter drawn
-	// from Seed. A server Retry-After hint overrides the computed delay.
+	// per attempt up to 64x, plus up to +50% deterministic jitter derived
+	// from Seed and the request. A server Retry-After hint on a retryable
+	// answer overrides the computed delay.
 	RetryBackoff time.Duration
 	// HedgeDelay, when positive, arms hedged GETs: if a response has not
 	// arrived after this long, a second identical request is issued and
 	// the first complete answer wins. Only idempotent GETs hedge;
 	// submissions rely on retries plus server-side dedup instead.
 	HedgeDelay time.Duration
-	// BreakerThreshold is the consecutive transport-failure count that
-	// opens the per-host circuit breaker (default 5; negative disables
-	// the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker waits before admitting
-	// a half-open probe (default 1s), plus up to +50% jitter from Seed.
-	BreakerCooldown time.Duration
-	// PollInterval paces Wait's status polling when the server sends no
-	// Retry-After hint (default 250ms).
+	// PollInterval paces Wait's status polling (default 250ms). It is
+	// the only pacing: a Retry-After on a status answer does not stretch
+	// it, so sub-second jobs are not held to the server's 1s hint floor.
 	PollInterval time.Duration
 	// RetryAfterMax caps how long a server Retry-After hint is honored
 	// (default 30s; negative disables the cap). A server quoting an hour
 	// — by bug or hostility — must not stall a command past its own
 	// deadline on one hint.
 	RetryAfterMax time.Duration
-	// Seed selects the deterministic jitter pattern for backoff and
-	// breaker probes, exactly like the fault layer's seeds: the same
-	// seed reproduces the same schedule, different seeds desynchronize.
+	// Seed selects the deterministic backoff jitter, exactly like the
+	// fault layer's seeds: the same seed reproduces the same schedule for
+	// the same request, different seeds desynchronize.
 	Seed int64
 	// Log receives request-level logs (nil = discard).
 	Log *slog.Logger
@@ -101,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Second
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 250 * time.Millisecond
@@ -182,12 +168,6 @@ type Client struct {
 	hc   *http.Client
 	log  *slog.Logger
 	reg  *metrics.Registry
-
-	backoffMu  sync.Mutex
-	backoffSrc *fault.Source // deterministic retry jitter
-
-	breakerMu sync.Mutex
-	breakers  map[string]*breaker // per host
 }
 
 // New builds a client for the charond instance at cfg.BaseURL.
@@ -202,33 +182,18 @@ func New(cfg Config) (*Client, error) {
 	}
 	u.Path = strings.TrimSuffix(u.Path, "/")
 	return &Client{
-		cfg:        cfg,
-		base:       u,
-		hc:         cfg.HTTPClient,
-		log:        cfg.Log,
-		reg:        metrics.NewRegistry(),
-		backoffSrc: fault.NewSource("client/backoff", cfg.Seed),
-		breakers:   map[string]*breaker{},
+		cfg:  cfg,
+		base: u,
+		hc:   cfg.HTTPClient,
+		log:  cfg.Log,
+		reg:  metrics.NewRegistry(),
 	}, nil
 }
 
-// Metrics exposes the client's counter registry: retries, hedges,
-// breaker transitions, Retry-After hints honored. Chaos gates reconcile
-// it against the proxy's injected-fault log.
+// Metrics exposes the client's counter registry: retries, transport
+// errors, hedges, Retry-After hints honored. Chaos gates reconcile it
+// against the proxy's injected-fault log.
 func (c *Client) Metrics() *metrics.Registry { return c.reg }
-
-// breakerFor returns (creating if needed) the host's circuit breaker.
-func (c *Client) breakerFor(host string) *breaker {
-	c.breakerMu.Lock()
-	defer c.breakerMu.Unlock()
-	b, ok := c.breakers[host]
-	if !ok {
-		b = newBreaker(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown,
-			fault.NewSource("client/breaker/"+host, c.cfg.Seed), c.reg)
-		c.breakers[host] = b
-	}
-	return b
-}
 
 // response is one complete HTTP exchange.
 type response struct {
@@ -261,12 +226,11 @@ func retryableStatus(status int) bool {
 	return false
 }
 
-// do runs one logical request through the retry/hedge/breaker stack.
-// body is resent verbatim on every attempt; hedge must only be true for
+// do runs one logical request through the retry/hedge stack. body is
+// resent verbatim on every attempt; hedge must only be true for
 // idempotent requests.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, hedge bool) (*response, error) {
 	c.reg.AddUint("client/requests", 1)
-	br := c.breakerFor(c.base.Host)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -276,27 +240,12 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, hedge
 			return nil, err
 		}
 
-		now := time.Now()
-		allowed, retryAt := br.allow(now)
-		if !allowed {
-			lastErr = fmt.Errorf("%w (next probe %s)", ErrBreakerOpen, retryAt.Format(time.RFC3339Nano))
-			if attempt >= c.cfg.RetryBudget {
-				return nil, lastErr
-			}
-			c.reg.AddUint("client/retries", 1)
-			if err := c.sleepUntil(ctx, retryAt); err != nil {
-				return nil, lastErr
-			}
-			continue
-		}
-
 		resp, err := c.exchange(ctx, method, path, body, hedge)
-		br.observe(err == nil, time.Now())
 		if err == nil {
 			if rerr := resp.asError(); rerr != nil && retryableStatus(resp.status) && attempt < c.cfg.RetryBudget {
 				lastErr = rerr
 				c.reg.AddUint("client/retries", 1)
-				if serr := c.sleep(ctx, c.backoff(attempt, resp.header)); serr != nil {
+				if serr := c.sleep(ctx, c.backoff(method, path, attempt, resp.header)); serr != nil {
 					return nil, lastErr
 				}
 				continue
@@ -311,7 +260,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, hedge
 			return nil, fmt.Errorf("client: %s %s failed after %d attempt(s): %w", method, path, attempt+1, err)
 		}
 		c.reg.AddUint("client/retries", 1)
-		if serr := c.sleep(ctx, c.backoff(attempt, nil)); serr != nil {
+		if serr := c.sleep(ctx, c.backoff(method, path, attempt, nil)); serr != nil {
 			return nil, fmt.Errorf("client: %s %s failed after %d attempt(s): %w", method, path, attempt+1, err)
 		}
 	}
@@ -341,11 +290,12 @@ func parseRetryAfter(v string, now time.Time) (d time.Duration, ok bool) {
 	return 0, false
 }
 
-// backoff computes the wait before retry `attempt`: a server Retry-After
-// hint when present — either RFC form, capped at RetryAfterMax so a
-// bogus hint cannot stall a command past its deadline — else
-// base·2^attempt (capped at 64x) plus up to +50% deterministic jitter.
-func (c *Client) backoff(attempt int, hdr http.Header) time.Duration {
+// backoff computes the wait before retry `attempt` of a request: a server
+// Retry-After hint when present — either RFC form, capped at
+// RetryAfterMax so a bogus hint cannot stall a command past its deadline
+// — else the server's own retry schedule, server.BackoffDelay, keyed by
+// Seed, method and path.
+func (c *Client) backoff(method, path string, attempt int, hdr http.Header) time.Duration {
 	if hdr != nil {
 		if d, ok := parseRetryAfter(hdr.Get("Retry-After"), time.Now()); ok {
 			c.reg.AddUint("client/retry_after_honored", 1)
@@ -356,15 +306,8 @@ func (c *Client) backoff(attempt int, hdr http.Header) time.Duration {
 			return d
 		}
 	}
-	shift := attempt
-	if shift > 6 {
-		shift = 6
-	}
-	d := c.cfg.RetryBackoff << uint(shift)
-	c.backoffMu.Lock()
-	j := jitterFrac(c.backoffSrc, d/2)
-	c.backoffMu.Unlock()
-	return d + j
+	key := strconv.FormatInt(c.cfg.Seed, 10) + " " + method + " " + path
+	return server.BackoffDelay(c.cfg.RetryBackoff, attempt, key)
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
@@ -379,10 +322,6 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-func (c *Client) sleepUntil(ctx context.Context, at time.Time) error {
-	return c.sleep(ctx, time.Until(at))
 }
 
 // newRequest builds one attempt's request, propagating the context
@@ -404,7 +343,7 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body []byt
 
 // exchange performs one (possibly hedged) HTTP exchange and reads the
 // complete body — a truncated body is a transport failure here, so the
-// retry and breaker layers see through torn responses.
+// retry layer sees through torn responses.
 func (c *Client) exchange(ctx context.Context, method, path string, body []byte, hedge bool) (*response, error) {
 	if !hedge || c.cfg.HedgeDelay <= 0 || method != http.MethodGet {
 		return c.attempt(ctx, method, path, body)
@@ -638,11 +577,11 @@ func (r resource[D]) call(ctx context.Context, c *Client, method, path string, b
 	return d, nil
 }
 
-// wait polls the entry until it is terminal or ctx expires; each poll
-// rides the usual retry/breaker/hedging machinery. Transient polling
-// failures do not abort the wait — the work keeps running server-side
-// regardless, so the client keeps watching until its deadline says
-// otherwise.
+// wait polls the entry every PollInterval until it is terminal or ctx
+// expires; each poll rides the usual retry/hedging machinery. Transient
+// polling failures do not abort the wait — the work keeps running
+// server-side regardless, so the client keeps watching until its
+// deadline says otherwise.
 func (r resource[D]) wait(ctx context.Context, c *Client, id string) (D, error) {
 	var zero D
 	var lastErr error
@@ -728,10 +667,5 @@ func (c *Client) Healthy(ctx context.Context) error {
 // MetricsSnapshot writes the client-side counter snapshot as JSON —
 // charonctl's -client-metrics artifact.
 func (c *Client) MetricsSnapshot(w io.Writer) error {
-	c.breakerMu.Lock()
-	for host, b := range c.breakers {
-		c.reg.SetMax("client/breaker_state/"+host, b.stateGauge())
-	}
-	c.breakerMu.Unlock()
 	return c.reg.Snapshot().WriteJSON(w)
 }

@@ -12,8 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"charonsim/internal/fault"
-	"charonsim/internal/metrics"
 	"charonsim/internal/server"
 )
 
@@ -226,97 +224,6 @@ func TestSubmitNeverHedges(t *testing.T) {
 	}
 	if counter(c, "client/hedges") != 0 {
 		t.Fatal("a POST was hedged")
-	}
-}
-
-// TestBreakerOpensAndRecovers: consecutive transport failures open the
-// breaker (fast-fail without touching the network); once the backend
-// heals and the cooldown passes, a half-open probe closes it again.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	var calls atomic.Int32
-	healthy := atomic.Bool{}
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		if !healthy.Load() {
-			// Transport-level failure: kill the connection mid-response.
-			hj, ok := w.(http.Hijacker)
-			if !ok {
-				t.Fatal("no hijacker")
-			}
-			conn, _, _ := hj.Hijack()
-			conn.Close()
-			return
-		}
-		fmt.Fprint(w, `{"id":"abc","state":"done","experiment":"fig12"}`)
-	}))
-	defer hs.Close()
-
-	c := newTestClient(t, hs.URL, func(cfg *Config) {
-		cfg.RetryBudget = -1 // isolate the breaker from the retry loop
-		cfg.BreakerThreshold = 3
-		cfg.BreakerCooldown = 30 * time.Millisecond
-	})
-
-	// Three straight transport failures trip the breaker...
-	for i := 0; i < 3; i++ {
-		if _, err := c.Job(context.Background(), "abc"); err == nil {
-			t.Fatalf("call %d against a dead backend succeeded", i)
-		}
-	}
-	if counter(c, "client/breaker_opened") != 1 {
-		t.Fatalf("breaker_opened = %v, want 1", counter(c, "client/breaker_opened"))
-	}
-
-	// ...and the next call fast-fails without a network attempt.
-	before := calls.Load()
-	_, err := c.Job(context.Background(), "abc")
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
-	}
-	if calls.Load() != before {
-		t.Fatal("open breaker let a request through")
-	}
-
-	// Heal the backend, wait out cooldown (+50% max jitter), and the
-	// half-open probe closes the breaker.
-	healthy.Store(true)
-	time.Sleep(50 * time.Millisecond)
-	j, err := c.Job(context.Background(), "abc")
-	if err != nil {
-		t.Fatalf("post-recovery call: %v", err)
-	}
-	if j.State != server.StateDone {
-		t.Fatalf("state = %q", j.State)
-	}
-	if counter(c, "client/breaker_probes") != 1 || counter(c, "client/breaker_closed") != 1 {
-		t.Fatalf("probes=%v closed=%v, want 1/1",
-			counter(c, "client/breaker_probes"), counter(c, "client/breaker_closed"))
-	}
-}
-
-// TestBreakerProbeScheduleDeterministic: the same seed produces the
-// same probe instant; different seeds desynchronize.
-func TestBreakerProbeScheduleDeterministic(t *testing.T) {
-	probeAt := func(seed int64) time.Time {
-		b := newBreaker(1, time.Second, fault.NewSource("test/breaker", seed), metrics.NewRegistry())
-		now := time.Unix(1700000000, 0)
-		b.observe(false, now) // trips
-		_, at := b.allow(now)
-		return at
-	}
-	a, b := probeAt(11), probeAt(11)
-	if !a.Equal(b) {
-		t.Fatalf("same seed gave probe instants %v and %v", a, b)
-	}
-	c := probeAt(12)
-	if a.Equal(c) {
-		t.Fatalf("seeds 11 and 12 gave the identical probe instant %v", a)
-	}
-	base := time.Unix(1700000000, 0).Add(time.Second)
-	for _, at := range []time.Time{a, c} {
-		if at.Before(base) || at.After(base.Add(500*time.Millisecond)) {
-			t.Fatalf("probe %v outside [cooldown, cooldown+50%%) from %v", at, base)
-		}
 	}
 }
 

@@ -23,16 +23,18 @@ import (
 // (excluding the program name) and returns the process exit code:
 //
 //	0  success
-//	1  runtime failure (network, server error, proxy crash)
+//	1  any other failure (network, a refused request or unknown job id,
+//	   server error, proxy crash)
 //	2  usage error (unknown command, flag parse failure, bad config)
-//	3  the job itself reached a failed or canceled terminal state —
-//	   the network edge worked; the simulation did not
+//	3  the job itself reached a failed or canceled terminal state, or
+//	   its result was fetched before it finished — the network edge
+//	   worked; the simulation did not
 //
 // charonctl is the network-edge counterpart of the charonsim CLI: it
 // talks to a charond instance through the resilient client (retries,
-// hedged polling, per-host circuit breaker, deadline propagation) and
-// prints the server-rendered report verbatim, so bytes fetched over a
-// faulty network are identical to a local charonsim run.
+// hedged polling, deadline propagation) and prints the server-rendered
+// report verbatim, so bytes fetched over a faulty network are identical
+// to a local charonsim run.
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("charonctl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -40,15 +42,13 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		serverURL = fs.String("server", "http://127.0.0.1:8080", "charond base URL")
 		timeout   = fs.Duration("timeout", 0, "overall deadline for the command; propagated to the server as "+server.DeadlineHeader+" so it bounds job execution too (0 = none)")
 		retries   = fs.Int("retries", 4, "retry budget per request beyond the first attempt (0 disables)")
-		backoff   = fs.Duration("backoff", 100*time.Millisecond, "initial retry backoff (doubles per attempt, plus seeded jitter; server Retry-After hints override it)")
+		backoff   = fs.Duration("backoff", 100*time.Millisecond, "initial retry backoff (doubles per attempt, plus seeded jitter; a server Retry-After hint on a retryable answer overrides it)")
 		hedge     = fs.Duration("hedge", 0, "hedged-GET delay: issue a racing duplicate of an idempotent GET that has not answered after this long (0 disables)")
-		brkN      = fs.Int("breaker-threshold", 5, "consecutive transport failures that open the per-host circuit breaker (0 disables)")
-		brkCool   = fs.Duration("breaker-cooldown", time.Second, "open-breaker cooldown before a half-open probe (plus seeded jitter)")
-		seed      = fs.Int64("seed", 0, "seed for the deterministic backoff/probe jitter streams")
-		poll      = fs.Duration("poll", 250*time.Millisecond, "status poll interval while waiting (server Retry-After hints override it)")
+		seed      = fs.Int64("seed", 0, "seed for the deterministic backoff jitter")
+		poll      = fs.Duration("poll", 250*time.Millisecond, "status poll interval while waiting (fixed; a Retry-After on a status answer does not stretch it)")
 		raMax     = fs.Duration("retry-after-max", 30*time.Second, "cap on honored server Retry-After hints, either RFC form (0 = no cap)")
 		noKeep    = fs.Bool("no-keepalive", false, "open a fresh connection per request; with a netfault proxy in the path every request then redraws the per-connection fault plan")
-		metricsTo = fs.String("client-metrics", "", "after the command, write the client-side counter snapshot (retries, hedges, breaker transitions) as JSON to this path (\"-\" = stderr)")
+		metricsTo = fs.String("client-metrics", "", "after the command, write the client-side counter snapshot (retries, transport errors, hedges, Retry-After hints) as JSON to this path (\"-\" = stderr)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, `usage: charonctl [flags] <command> [command flags]
@@ -84,10 +84,6 @@ Flags:
 		return proxyMain(rest, stdout, stderr)
 	}
 
-	brkThreshold := *brkN
-	if brkThreshold == 0 {
-		brkThreshold = -1 // Config: 0 means default, negative disables
-	}
 	retryBudget := *retries
 	if retryBudget == 0 {
 		retryBudget = -1
@@ -104,16 +100,14 @@ Flags:
 		}
 	}
 	c, err := New(Config{
-		BaseURL:          *serverURL,
-		HTTPClient:       hc,
-		RetryBudget:      retryBudget,
-		RetryBackoff:     *backoff,
-		HedgeDelay:       *hedge,
-		BreakerThreshold: brkThreshold,
-		BreakerCooldown:  *brkCool,
-		PollInterval:     *poll,
-		RetryAfterMax:    retryAfterMax,
-		Seed:             *seed,
+		BaseURL:       *serverURL,
+		HTTPClient:    hc,
+		RetryBudget:   retryBudget,
+		RetryBackoff:  *backoff,
+		HedgeDelay:    *hedge,
+		PollInterval:  *poll,
+		RetryAfterMax: retryAfterMax,
+		Seed:          *seed,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -354,12 +348,17 @@ func oneJobID(cmd string, args []string, stderr io.Writer) (string, int) {
 	return args[0], -1
 }
 
-// jobExitCode distinguishes "the job failed" (3) from "the network
-// failed" (1): a complete server answer reporting a failed/canceled/
-// unfinished job is the former, a transport-level error the latter.
+// jobExitCode distinguishes "the job failed" (3) from every other
+// failure (1). Only a job outcome is the former: a failed or canceled
+// terminal state, the result endpoint's 500 (failed) or 410 (canceled),
+// or a result fetched before the job finished. An unknown id, a refused
+// request or a transport error is the latter.
 func jobExitCode(err error) int {
+	if errors.Is(err, ErrJobFailed) || errors.Is(err, ErrJobCanceled) || errors.Is(err, ErrNotDone) {
+		return 3
+	}
 	var apiErr *APIError
-	if errors.As(err, &apiErr) || errors.Is(err, ErrJobFailed) || errors.Is(err, ErrJobCanceled) {
+	if errors.As(err, &apiErr) && (apiErr.Status == http.StatusInternalServerError || apiErr.Status == http.StatusGone) {
 		return 3
 	}
 	return 1

@@ -38,14 +38,14 @@ func TestCtlHelpExitsZero(t *testing.T) {
 
 func TestCtlUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
-		{},                              // no command
-		{"-definitely-not-a-flag"},      // bad global flag
-		{"frobnicate"},                  // unknown command
-		{"submit"},                      // missing -experiment
-		{"wait"},                        // missing job id
-		{"result", "a", "b"},            // too many args
-		{"metrics", "extra"},            // metrics takes none
-		{"proxy"},                       // missing -target
+		{},                                  // no command
+		{"-definitely-not-a-flag"},          // bad global flag
+		{"frobnicate"},                      // unknown command
+		{"submit"},                          // missing -experiment
+		{"wait"},                            // missing job id
+		{"result", "a", "b"},                // too many args
+		{"metrics", "extra"},                // metrics takes none
+		{"proxy"},                           // missing -target
 		{"-server", "::bad::", "wait", "x"}, // unusable base URL
 	} {
 		code, _, _ := runCtl(t, args...)
@@ -150,6 +150,39 @@ func TestCtlJobFailureExitsThree(t *testing.T) {
 	code, _, _ = runCtl(t, "-server", hs.URL, "result", "j1")
 	if code != 3 {
 		t.Fatalf("result of a failed job exited %d, want 3", code)
+	}
+}
+
+// TestCtlExitCodeMeansJobOutcome: exit 3 is a job outcome only. An id
+// the server does not know is a 404 — a refused request, exit 1 from
+// every command — while a canceled job's 410 result is exit 3.
+func TestCtlExitCodeMeansJobOutcome(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost:
+			writeJSONStatus(w, 202, map[string]any{"id": "gone", "state": "queued", "experiment": "fig12"})
+		case r.URL.Path == "/v1/jobs/canceled/result":
+			writeJSONStatus(w, 410, map[string]any{"error": "job canceled: canceled by client"})
+		default:
+			writeJSONStatus(w, 404, map[string]any{"error": "unknown job"})
+		}
+	}))
+	defer hs.Close()
+
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"result", "gone"}, 1},
+		{[]string{"wait", "gone"}, 1},
+		{[]string{"cancel", "gone"}, 1},
+		{[]string{"submit", "-experiment", "fig12", "-wait"}, 1},
+		{[]string{"result", "canceled"}, 3},
+	} {
+		code, _, errOut := runCtl(t, append([]string{"-server", hs.URL}, tc.args...)...)
+		if code != tc.want {
+			t.Errorf("charonctl %v exited %d, want %d\n%s", tc.args, code, tc.want, errOut)
+		}
 	}
 }
 

@@ -283,8 +283,8 @@ func TestRetryDisabledByNegativeBudget(t *testing.T) {
 func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	base := 100 * time.Millisecond
 	for attempt := 0; attempt < 10; attempt++ {
-		a := backoffDelay(base, attempt, "job-a")
-		if b := backoffDelay(base, attempt, "job-a"); a != b {
+		a := BackoffDelay(base, attempt, "job-a")
+		if b := BackoffDelay(base, attempt, "job-a"); a != b {
 			t.Fatalf("attempt %d: nondeterministic delay %s vs %s", attempt, a, b)
 		}
 		shift := attempt
@@ -297,7 +297,7 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 			t.Fatalf("attempt %d: delay %s outside [%s, %s]", attempt, a, lo, hi)
 		}
 	}
-	if backoffDelay(base, 1, "job-a") == backoffDelay(base, 1, "job-b") {
+	if BackoffDelay(base, 1, "job-a") == BackoffDelay(base, 1, "job-b") {
 		t.Fatal("different jobs share a jitter schedule")
 	}
 }

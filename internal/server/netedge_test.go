@@ -226,6 +226,38 @@ func TestPollRetryAfterFromEstimator(t *testing.T) {
 	waitState(t, base, b.ID, StateDone)
 }
 
+// TestJobStatusRetryAfter: a job's status GET carries the same
+// position-aware Retry-After as its result poll while the job is pending,
+// as a sweep's does, and none once it is done.
+func TestJobStatusRetryAfter(t *testing.T) {
+	g := newGate("report\n")
+	s, base := newTestServer(t, Config{Workers: 1, runner: g.runner})
+
+	_, a := postJob(t, base, `{"experiment":"fig12","workloads":["BS"]}`)
+	<-g.started
+	waitState(t, base, a.ID, StateRunning)
+	_, b := postJob(t, base, `{"experiment":"fig12","workloads":["KM"]}`)
+	s.avgRunNanos.Store(int64(3 * time.Second))
+
+	for _, tc := range []struct{ id, want string }{{a.ID, "1"}, {b.ID, "3"}} {
+		var v view
+		resp := getJSON(t, base+"/v1/jobs/"+tc.id, &v)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET job %s = %d", tc.id, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != tc.want {
+			t.Fatalf("%s job status Retry-After = %q, want %q", v.State, got, tc.want)
+		}
+	}
+
+	close(g.open)
+	waitState(t, base, b.ID, StateDone)
+	resp := getJSON(t, base+"/v1/jobs/"+b.ID, nil)
+	if got := resp.Header.Get("Retry-After"); got != "" {
+		t.Fatalf("done job status carries Retry-After %q", got)
+	}
+}
+
 // TestConcurrentDuplicateSubmissions is the duplicate-storm hammer: N
 // identical POSTs racing on a cold server must converge on one job id,
 // one runner invocation, and one journal record — the single-flight

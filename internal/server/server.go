@@ -352,12 +352,12 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit("job", func() submission { return new(JobSpec) }))
 	mux.HandleFunc("GET /v1/jobs", handleList(s, "job", s.jobs))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
+	mux.HandleFunc("GET /v1/jobs/{id}", handleGet(s, "job", s.jobs))
 	mux.HandleFunc("GET /v1/jobs/{id}/result", handleResult(s, "job", s.jobs))
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("POST /v1/sweeps", s.handleSubmit("sweep", func() submission { return new(SweepSpec) }))
 	mux.HandleFunc("GET /v1/sweeps", handleList(s, "sweep", s.sweeps))
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
+	mux.HandleFunc("GET /v1/sweeps/{id}", handleGet(s, "sweep", s.sweeps))
 	mux.HandleFunc("GET /v1/sweeps/{id}/result", handleResult(s, "sweep", s.sweeps))
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -856,9 +856,20 @@ func handleList[E entry](s *Server, name string, table map[string]E) http.Handle
 	}
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	if j, ok := lookup(s, "job", s.jobs, w, r); ok {
-		writeJSON(w, http.StatusOK, j.view())
+// handleGet serves GET /v1/jobs/{id} and GET /v1/sweeps/{id}: the
+// entry's status document, carrying the position-aware Retry-After a
+// poller should honor while any child is pending — the same hint the
+// result endpoint's 202 sends.
+func handleGet[E entry](s *Server, name string, table map[string]E) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		e, ok := lookup(s, name, table, w, r)
+		if !ok {
+			return
+		}
+		if children := e.jobs(); pending(children) {
+			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(children)))
+		}
+		writeJSON(w, http.StatusOK, e.document())
 	}
 }
 
@@ -1170,7 +1181,7 @@ func (s *Server) runWithRetries(ctx context.Context, j *job, cfg charonsim.Confi
 			return text, err
 		}
 
-		delay := backoffDelay(s.cfg.RetryBackoff, attempt, j.id)
+		delay := BackoffDelay(s.cfg.RetryBackoff, attempt, j.id)
 		s.reg.AddUint("server/jobs_retried", 1)
 		s.log.Warn("job retry", "job", j.id, "attempt", attempt+1,
 			"budget", s.cfg.RetryBudget, "backoff", delay.String(), "err", err.Error())
@@ -1191,19 +1202,21 @@ func transientErr(err error) bool {
 	return errors.Is(err, charonsim.ErrInternal) || errors.Is(err, fault.ErrInjected)
 }
 
-// backoffDelay is the wait before retry `attempt`: base doubling per
-// attempt (capped at 64x) plus up to +50% jitter derived deterministically
-// from the job id and attempt number — the same job retries on the same
-// schedule in every process, keeping chaos runs reproducible, while
-// different jobs desynchronize.
-func backoffDelay(base time.Duration, attempt int, id string) time.Duration {
+// BackoffDelay is the one retry schedule of charond and its client: the
+// wait before retry `attempt` is base doubling per attempt (capped at
+// 64x) plus up to +50% jitter derived deterministically from key and the
+// attempt number. The same key retries on the same schedule in every
+// process, keeping chaos runs reproducible, while different keys
+// desynchronize. The server keys job retries by job id; the client keys
+// request retries by its seed, method and path.
+func BackoffDelay(base time.Duration, attempt int, key string) time.Duration {
 	shift := attempt
 	if shift > 6 {
 		shift = 6
 	}
 	d := base << uint(shift)
 	h := fnv.New64a()
-	h.Write([]byte(id))
+	h.Write([]byte(key))
 	z := h.Sum64() ^ uint64(attempt+1)*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

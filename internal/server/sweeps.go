@@ -2,8 +2,6 @@ package server
 
 import (
 	"fmt"
-	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -426,18 +424,4 @@ func (s *Server) recoverSweeps(recs []sweepRecord) (gcKeys []string) {
 			"children", len(sw.children), "generation", sw.recovered)
 	}
 	return gcKeys
-}
-
-// handleSweepGet serves a sweep's status; while any child is pending it
-// carries the position-aware Retry-After a poller should honor.
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw, ok := lookup(s, "sweep", s.sweeps, w, r)
-	if !ok {
-		return
-	}
-	v := sw.view()
-	if !terminalState(v.State) {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(sw.children)))
-	}
-	writeJSON(w, http.StatusOK, v)
 }

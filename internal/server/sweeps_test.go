@@ -403,9 +403,9 @@ func TestEvictionPrefersFetchedResults(t *testing.T) {
 // so absurd attempt counts cannot overflow into negative or huge waits.
 func TestServerBackoffDelayShiftCap(t *testing.T) {
 	base := 100 * time.Millisecond
-	capped := backoffDelay(base, 6, "job-x")
+	capped := BackoffDelay(base, 6, "job-x")
 	for _, attempt := range []int{7, 20, 63, 1000} {
-		d := backoffDelay(base, attempt, "job-x")
+		d := BackoffDelay(base, attempt, "job-x")
 		if d <= 0 {
 			t.Fatalf("attempt %d: delay %v <= 0", attempt, d)
 		}

@@ -106,8 +106,7 @@ echo "== phase 2: submit through the faulty network =="
 # the proxy's per-connection fault plan; a generous retry budget with a
 # short seeded backoff and hedged polling absorbs the injected faults.
 if ! "$WORK/charonctl" -server "http://$PROXY" -no-keepalive \
-    -timeout 5m -retries 10 -backoff 50ms -hedge 300ms \
-    -breaker-cooldown 250ms -seed "$NET_SEED" \
+    -timeout 5m -retries 10 -backoff 50ms -hedge 300ms -seed "$NET_SEED" \
     -client-metrics "$WORK/client_metrics.json" \
     submit -experiment "$EXP" -workloads "$WORKLOADS" -wait \
     >"$WORK/served.out" 2>"$WORK/ctl.err"; then
