@@ -24,10 +24,28 @@ import (
 	"charonsim/internal/stats"
 )
 
-// benchSession memoizes recorded workload runs across iterations of one
-// benchmark (recording is functional work; replay is what we measure).
-func benchSession() *experiments.Session {
-	return experiments.NewSession(experiments.Config{})
+// benchSession builds one iteration's session with the benchmark timer
+// stopped: a fresh session with every workload already recorded at each
+// given heap factor (default: the session's). Recording is functional
+// work; replay is what we measure. Each iteration needs its own session
+// because a session simulates each replay unit once — a shared one would
+// time memo hits after the first iteration.
+func benchSession(b *testing.B, cfg experiments.Config, factors ...float64) *experiments.Session {
+	b.StopTimer()
+	defer b.StartTimer()
+	s := experiments.NewSession(cfg)
+	c := s.Config()
+	if len(factors) == 0 {
+		factors = []float64{c.Factor}
+	}
+	for _, w := range c.Workloads {
+		for _, f := range factors {
+			if _, err := s.Record(w, f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return s
 }
 
 func printOnce(b *testing.B, i int, s string) {
@@ -38,8 +56,8 @@ func printOnce(b *testing.B, i int, s string) {
 }
 
 func BenchmarkFig02GCOverhead(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{}, experiments.Fig2Factors...)
 		r, err := experiments.Fig2(s)
 		if err != nil {
 			b.Fatal(err)
@@ -56,8 +74,8 @@ func BenchmarkFig02GCOverhead(b *testing.B) {
 }
 
 func BenchmarkFig04MinorBreakdown(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig4(s, gc.Minor)
 		if err != nil {
 			b.Fatal(err)
@@ -72,8 +90,8 @@ func BenchmarkFig04MinorBreakdown(b *testing.B) {
 }
 
 func BenchmarkFig04MajorBreakdown(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig4(s, gc.Major)
 		if err != nil {
 			b.Fatal(err)
@@ -88,8 +106,8 @@ func BenchmarkFig04MajorBreakdown(b *testing.B) {
 }
 
 func BenchmarkFig12Speedup(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig12(s)
 		if err != nil {
 			b.Fatal(err)
@@ -102,8 +120,8 @@ func BenchmarkFig12Speedup(b *testing.B) {
 }
 
 func BenchmarkFig13Bandwidth(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig13(s)
 		if err != nil {
 			b.Fatal(err)
@@ -120,8 +138,8 @@ func BenchmarkFig13Bandwidth(b *testing.B) {
 }
 
 func BenchmarkFig14PerPrimitive(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig14(s)
 		if err != nil {
 			b.Fatal(err)
@@ -138,8 +156,8 @@ func BenchmarkFig14PerPrimitive(b *testing.B) {
 func BenchmarkFig15Scalability(b *testing.B) {
 	// The full 5-point thread sweep over 3 designs is the most expensive
 	// experiment; run it over the framework-representative subset.
-	s := experiments.NewSession(experiments.Config{Workloads: []string{"BS", "CC", "ALS"}})
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{Workloads: []string{"BS", "CC", "ALS"}})
 		r, err := experiments.Fig15(s)
 		if err != nil {
 			b.Fatal(err)
@@ -156,8 +174,8 @@ func BenchmarkFig15Scalability(b *testing.B) {
 }
 
 func BenchmarkFig16CPUSide(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig16(s)
 		if err != nil {
 			b.Fatal(err)
@@ -168,8 +186,8 @@ func BenchmarkFig16CPUSide(b *testing.B) {
 }
 
 func BenchmarkFig17Energy(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Fig17(s)
 		if err != nil {
 			b.Fatal(err)
@@ -209,8 +227,8 @@ func BenchmarkTable4Area(b *testing.B) {
 }
 
 func BenchmarkThermal(b *testing.B) {
-	s := benchSession()
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{})
 		r, err := experiments.Thermal(s)
 		if err != nil {
 			b.Fatal(err)
@@ -222,8 +240,17 @@ func BenchmarkThermal(b *testing.B) {
 }
 
 func BenchmarkTable1CollectorStudy(b *testing.B) {
-	s := experiments.NewSession(experiments.Config{Workloads: []string{"BS", "CC", "ALS"}})
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{Workloads: []string{"BS", "CC", "ALS"}})
+		b.StopTimer()
+		for _, w := range s.Config().Workloads {
+			for _, m := range experiments.StudyModes {
+				if _, err := s.RecordMode(w, s.Config().Factor, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StartTimer()
 		r, err := experiments.CollectorStudy(s)
 		if err != nil {
 			b.Fatal(err)
@@ -236,8 +263,8 @@ func BenchmarkTable1CollectorStudy(b *testing.B) {
 }
 
 func BenchmarkAblations(b *testing.B) {
-	s := experiments.NewSession(experiments.Config{Workloads: []string{"BS", "ALS"}})
 	for i := 0; i < b.N; i++ {
+		s := benchSession(b, experiments.Config{Workloads: []string{"BS", "ALS"}})
 		rs, err := experiments.Ablations(s)
 		if err != nil {
 			b.Fatal(err)

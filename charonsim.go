@@ -520,10 +520,11 @@ func RunContext(ctx context.Context, id string, cfg Config) (*Report, error) {
 	return &Report{ID: id, Title: e.title, Text: text}, nil
 }
 
-// RunAll executes every experiment, sharing recorded workload runs across
-// experiments (the session's single-flight memoization records each
-// workload exactly once, no matter how many experiments need it or how
-// many run at a time). Reports come back in Experiments() order and are
+// RunAll executes every experiment in one session, which records each
+// workload and simulates each replay unit exactly once, no matter how
+// many experiments need it or how many run at a time (single-flight
+// memoization; figures normalized to the same host share its replay).
+// Reports come back in Experiments() order and are
 // byte-identical at every parallelism level; on error, the reports for
 // experiments ordered before the first failing one are still returned.
 func RunAll(cfg Config) ([]*Report, error) {

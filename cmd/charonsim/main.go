@@ -10,6 +10,7 @@
 //	charonsim -exp all -parallel 8      # fan simulations out over 8 workers
 //	charonsim -exp faults -fault-rate 0.01 -fault-seed 7
 //	charonsim -exp fig12 -checkpoint-dir .ckpt   # crash-safe, resumable
+//	charonsim -exp all -cpuprofile cpu.pprof     # pprof CPU profile of the run
 //	charonsim -list
 //
 // Output is byte-identical at every -parallel setting; only the wall

@@ -296,6 +296,15 @@ func (a *Accelerator) grain() uint64 {
 // System returns the underlying HMC system.
 func (a *Accelerator) System() *hmc.System { return a.sys }
 
+// Forget drops the bitmap-cache ports' occupancy history before `before`
+// (see sim.Calendar.Forget): no later access may start before it. The
+// memory system's history is its own (hmc.System.Forget).
+func (a *Accelerator) Forget(before sim.Time) {
+	for _, c := range a.bmCachePort {
+		c.Forget(before)
+	}
+}
+
 // pickHealthy returns the index of the earliest-free non-failed unit, or
 // -1 when the whole pool is failed. With every unit healthy this is the
 // classic earliest-free pick (first index wins ties), so a fault-free

@@ -40,6 +40,8 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		exp      = fs.String("exp", "all", "experiment id (see -list) or 'all'")
 		list     = fs.Bool("list", false, "list experiments and workloads, then exit")
 		dumpPath = fs.String("watchdog-dump", "", "on a watchdog abort, write the diagnostic dump to this file as well as stderr")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (view with go tool pprof)")
+		memProf  = fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -72,6 +74,13 @@ func Run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
+
+	stopProfiles, err := startProfiles(stderr, *cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	defer stopProfiles()
 
 	// SIGINT/SIGTERM cancel the context; the harness stops dispatching
 	// simulation units, flushes what completed, and we print the partial

@@ -69,6 +69,36 @@ func TestCheckpointRejectsObservability(t *testing.T) {
 	}
 }
 
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty pprof
+// files without changing the report; an unwritable profile path is a
+// configuration error (exit 2) caught before anything runs.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var plain, out, errb bytes.Buffer
+	if code := Run([]string{"-exp", "table4"}, &plain, &errb); code != 0 {
+		t.Fatalf("table4 exited %d: %s", code, errb.String())
+	}
+	if code := Run([]string{"-exp", "table4", "-cpuprofile", cpu, "-memprofile", mem}, &out, &errb); code != 0 {
+		t.Fatalf("profiled table4 exited %d: %s", code, errb.String())
+	}
+	if reportText(out.String()) != reportText(plain.String()) {
+		t.Fatalf("profiling changed the report:\n%s\nvs\n%s", out.String(), plain.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("profile %s missing or empty (err %v)", path, err)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		out.Reset()
+		bad := filepath.Join(dir, "no-such-dir", "p.pprof")
+		if code := Run([]string{"-exp", "table4", flag, bad}, &out, &errb); code != 2 || out.Len() != 0 {
+			t.Fatalf("%s into a missing directory exited %d with output %q, want 2 before running", flag, code, out.String())
+		}
+	}
+}
+
 // reportText strips the trailing wall-clock line, the only
 // non-deterministic part of the CLI output.
 func reportText(s string) string {

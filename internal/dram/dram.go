@@ -144,6 +144,10 @@ func (c *Controller) BusUtilization(horizon sim.Time) float64 {
 	return c.bus.Utilization(horizon)
 }
 
+// Forget drops the data bus's occupancy history before `before` (see
+// sim.Calendar.Forget): no later access may start before it.
+func (c *Controller) Forget(before sim.Time) { c.bus.Forget(before) }
+
 // RowStats sums row-buffer outcomes over all banks.
 func (c *Controller) RowStats() (hits, opens, conflicts uint64) {
 	for i := range c.banks {
@@ -336,6 +340,14 @@ func (d *DDR4) Collect(reg *metrics.Registry, prefix string, horizon sim.Time) {
 	}
 	for i, c := range d.channels {
 		c.Collect(reg, fmt.Sprintf("%s/ch%d", prefix, i), horizon)
+	}
+}
+
+// Forget drops every channel's bus history before `before` (see
+// Controller.Forget).
+func (d *DDR4) Forget(before sim.Time) {
+	for _, c := range d.channels {
+		c.Forget(before)
 	}
 }
 

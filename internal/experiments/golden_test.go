@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 
 	"charonsim/internal/exec"
 	"charonsim/internal/gc"
+	"charonsim/internal/metrics"
 )
 
 // update rewrites the golden files instead of comparing against them:
@@ -217,5 +219,41 @@ func TestGoldenRenders(t *testing.T) {
 					path, want, got)
 			}
 		})
+	}
+}
+
+// TestGoldenReplayMetrics pins the metrics snapshot of Figure 12 followed
+// by Figure 4(a) on BS in one session. Figure 4(a)'s DDR4 replay repeats
+// one of Figure 12's, so the snapshot also shows that a repeated replay
+// counts the simulation it stands for, whether or not it re-simulates.
+// The golden file is the snapshot of the harness that simulated every
+// replay; regenerate with -update only after an intentional model change.
+func TestGoldenReplayMetrics(t *testing.T) {
+	skipIfShort(t)
+	reg := metrics.NewRegistry()
+	s := NewSession(Config{Workloads: []string{"BS"}, Metrics: reg})
+	if _, err := Fig12(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig4(s, gc.Minor); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "golden", "metrics_fig12_fig4a_BS.json")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with `go test ./internal/experiments -run Golden -update`): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("metrics snapshot differs from %s", path)
 	}
 }

@@ -84,21 +84,27 @@ func TestConfigForEachBindsKnobs(t *testing.T) {
 
 // TestReplayFaultZeroConfigIsReplay: replaying with a zero (disabled)
 // fault config takes the plain platform path — per-event results exactly
-// equal to Replay on a fault-free session.
+// equal to Replay on a fault-free session. The two replays run in separate
+// sessions: within one they are the same memoized unit.
 func TestReplayFaultZeroConfigIsReplay(t *testing.T) {
-	s := NewSession(Config{Workloads: []string{"BS"}})
-	r, err := s.Record("BS", 1.5)
-	if err != nil {
-		t.Fatal(err)
+	replay := func(zero bool) []exec.Result {
+		s := NewSession(Config{Workloads: []string{"BS"}})
+		r, err := s.Record("BS", 1.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []exec.Result
+		if zero {
+			out, err = s.ReplayFault(r, exec.KindCharon, 8, fault.Config{})
+		} else {
+			out, err = s.Replay(r, exec.KindCharon, 8)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	plain, err := s.Replay(r, exec.KindCharon, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := s.ReplayFault(r, exec.KindCharon, 8, fault.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, zero := replay(false), replay(true)
 	if len(plain) != len(zero) {
 		t.Fatalf("event counts differ: %d vs %d", len(plain), len(zero))
 	}

@@ -139,20 +139,25 @@ type Run struct {
 	MutTime sim.Time
 }
 
-// Session caches recorded workload runs and platform replays so that the
-// full experiment suite records each workload once.
+// Session memoizes recorded workload runs and platform replays, so a
+// full experiment suite records each workload once and simulates each
+// replay unit — one (recording, platform, threads, fault) replay — once,
+// however many figures normalize to it.
 //
-// Session is safe for concurrent use: Record/RecordMode have single-flight
-// semantics — concurrent calls for the same (workload, factor, mode) key
-// execute the recording exactly once while the other callers block on the
-// in-flight result. Replay constructs a fresh platform per call and only
-// reads the (immutable after recording) Run, so any number of replays may
-// proceed concurrently.
+// Session is safe for concurrent use. Both memos are single-flight:
+// concurrent calls for the same key execute the work exactly once while
+// the other callers block on the in-flight result. Record/RecordMode key
+// on (workload, factor, mode); ReplayFault keys on runKey, the canonical
+// key the checkpoint store also uses. A recording is immutable once
+// returned, so replays of different units proceed concurrently.
 type Session struct {
 	cfg Config
 
-	mu   sync.Mutex
-	runs map[string]*inflight // key: name@factor@mode
+	mu      sync.Mutex
+	runs    map[string]*inflight    // key: name@factor@mode
+	replays map[string]*replayEntry // key: runKey
+	// simulated counts replay units actually simulated (see Replays).
+	simulated int
 
 	// onRecord, when set, is invoked (synchronously, off the lock) each
 	// time a recording is actually executed — the exactly-once counter
@@ -170,9 +175,22 @@ type inflight struct {
 	err  error
 }
 
+// replayEntry is the single-flight slot of one replay unit. The owner —
+// the first caller for the key — fills out, unit and err, then closes
+// done. unit holds the unit's own component counters (nil when metrics
+// are off); every use of the entry merges it into the session registry,
+// so a memo hit counts the simulation it stands for.
+type replayEntry struct {
+	done chan struct{}
+	out  []exec.Result
+	unit *metrics.Registry
+	err  error
+}
+
 // NewSession creates a session.
 func NewSession(cfg Config) *Session {
-	return &Session{cfg: cfg.withDefaults(), runs: map[string]*inflight{}}
+	return &Session{cfg: cfg.withDefaults(), runs: map[string]*inflight{},
+		replays: map[string]*replayEntry{}}
 }
 
 // Config returns the session configuration (defaults applied).
@@ -241,6 +259,15 @@ func (s *Session) Executions() int {
 	return len(s.runs)
 }
 
+// Replays reports how many replay units the session has simulated
+// (completed, failed or in flight). Memo and checkpoint hits do not add
+// to it; with a trace recorder every replay simulates, so each adds one.
+func (s *Session) Replays() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.simulated
+}
+
 // NewPlatform builds a platform wired with the session's trace recorder,
 // cancellation context, and engine watchdog. Experiment code must build
 // replay platforms through this (or Replay) so the observability and
@@ -260,17 +287,22 @@ func (s *Session) NewPlatform(kind exec.Kind, env exec.Env, threads int, opt exe
 
 // Observe publishes a finished platform's component counters into the
 // session's metrics registry. No-op when metrics are disabled.
-func (s *Session) Observe(p exec.Platform) {
-	if s.cfg.Metrics.Enabled() {
+func (s *Session) Observe(p exec.Platform) { collect(p, s.cfg.Metrics) }
+
+// collect publishes a finished platform's component counters into reg.
+// No-op when reg is nil.
+func collect(p exec.Platform, reg *metrics.Registry) {
+	if reg.Enabled() {
 		if ms, ok := p.(exec.MetricsSource); ok {
-			ms.CollectMetrics(s.cfg.Metrics)
+			ms.CollectMetrics(reg)
 		}
 	}
 }
 
-// Replay plays a run's full GC log on a fresh platform of the given kind,
-// returning per-event results. The session's fault configuration (if any)
-// applies.
+// Replay plays a run's full GC log on a platform of the given kind,
+// returning per-event results; the session's fault configuration (if
+// any) applies. See ReplayFault for memoization: the returned slice is
+// shared and read-only.
 func (s *Session) Replay(r *Run, kind exec.Kind, threads int) ([]exec.Result, error) {
 	return s.ReplayFault(r, kind, threads, s.cfg.Fault)
 }
@@ -279,20 +311,93 @@ func (s *Session) Replay(r *Run, kind exec.Kind, threads int) ([]exec.Result, er
 // the session's — the fault-sweep experiment uses it to replay the same
 // recording at several fault rates within one session.
 //
-// When the session has a checkpoint store, the fully-resolved run key is
-// consulted first: a valid cached entry is returned byte-identically
-// without simulating, and a live result is persisted on completion.
-// Store I/O failures never fail the replay — a lost Put just means that
-// unit re-executes on the next resume.
+// Each replay unit is simulated once per session: the first caller for a
+// unit's runKey owns it, and concurrent or later callers get the owner's
+// results. The returned slice is therefore shared between callers and
+// must be treated as read-only. Every call, hit or not, merges the
+// unit's component counters into the session's metrics registry, so a
+// snapshot is the same as if every call had simulated. With a trace
+// recorder set, every call simulates live instead, so the trace keeps
+// one span set per call.
+//
+// A failed unit (an error, or a panic such as a watchdog abort or a
+// cancelled context) hands its waiters the same error — a panic becomes
+// an error that wraps a sim.Aborted cause — and re-panics in the owner.
+// The failure is not memoized: a later call simulates again.
+//
+// When the session has a checkpoint store, the owner consults it first:
+// a valid cached entry is returned byte-identically without simulating,
+// and a live result is persisted on completion. Store I/O failures never
+// fail the replay — a lost Put just means that unit re-executes on the
+// next resume.
 func (s *Session) ReplayFault(r *Run, kind exec.Kind, threads int, fc fault.Config) ([]exec.Result, error) {
+	if s.cfg.Trace != nil {
+		return s.simulate(r, kind, threads, fc, s.cfg.Metrics)
+	}
+	key := s.runKey(r, kind, threads, fc)
+	s.mu.Lock()
+	e, hit := s.replays[key]
+	if !hit {
+		e = &replayEntry{done: make(chan struct{})}
+		s.replays[key] = e
+	}
+	s.mu.Unlock()
+	if hit {
+		<-e.done
+	} else {
+		s.own(e, key, r, kind, threads, fc)
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	s.cfg.Metrics.Merge(e.unit)
+	return e.out, nil
+}
+
+// own executes the replay unit e on behalf of every caller of key: a
+// checkpoint hit, or else a live simulation persisted to the store. The
+// deferred release publishes the outcome and closes done on every exit
+// path, so waiters never hang; a panic is handed to them as an error and
+// then re-raised in the owner.
+func (s *Session) own(e *replayEntry, key string, r *Run, kind exec.Kind, threads int, fc fault.Config) {
+	defer func() {
+		p := recover()
+		if p != nil {
+			e.out, e.unit, e.err = nil, nil, panicError(p)
+		}
+		if e.err != nil {
+			s.mu.Lock()
+			delete(s.replays, key)
+			s.mu.Unlock()
+		}
+		close(e.done)
+		if p != nil {
+			panic(p)
+		}
+	}()
 	st := s.checkpointStore()
-	var key string
 	if st != nil {
-		key = s.runKey(r, kind, threads, fc)
 		if out, ok := getCachedResults(st, key); ok {
-			return out, nil
+			e.out = out
+			return
 		}
 	}
+	if s.cfg.Metrics.Enabled() {
+		e.unit = metrics.NewRegistry()
+	}
+	e.out, e.err = s.simulate(r, kind, threads, fc, e.unit)
+	if e.err == nil && st != nil {
+		putCachedResults(st, key, e.out)
+	}
+}
+
+// simulate plays r's GC log on a fresh platform and publishes the
+// platform's component counters into reg (nil: none). Each call counts
+// as one simulated unit in Replays.
+func (s *Session) simulate(r *Run, kind exec.Kind, threads int, fc fault.Config, reg *metrics.Registry) ([]exec.Result, error) {
+	s.mu.Lock()
+	s.simulated++
+	s.mu.Unlock()
 	opt := exec.Options{}
 	if fc.Enabled() {
 		opt.Fault = &fc
@@ -305,11 +410,18 @@ func (s *Session) ReplayFault(r *Run, kind exec.Kind, threads int, fc fault.Conf
 	for _, ev := range r.Col.Log {
 		out = append(out, p.Replay(ev, threads))
 	}
-	s.Observe(p)
-	if st != nil {
-		putCachedResults(st, key, out)
-	}
+	collect(p, reg)
 	return out, nil
+}
+
+// panicError is the error a replay owner's panic hands its waiters. A
+// sim.Aborted keeps its cause, so errors.Is against sim.ErrNoProgress or
+// context.Canceled works for a waiter as it does for the owner.
+func panicError(p any) error {
+	if ab, ok := p.(sim.Aborted); ok {
+		return fmt.Errorf("experiments: replay aborted: %w", ab.Err)
+	}
+	return fmt.Errorf("experiments: replay panicked: %v", p)
 }
 
 // Totals aggregates replay results.

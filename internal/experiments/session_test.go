@@ -1,12 +1,18 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"charonsim/internal/exec"
+	"charonsim/internal/fault"
 	"charonsim/internal/gc"
+	"charonsim/internal/metrics"
 )
 
 // TestSessionConcurrentRecord hammers Record/RecordMode from 32 goroutines
@@ -291,5 +297,234 @@ func TestParallelFigureMatchesSerial(t *testing.T) {
 	}
 	if !strings.Contains(rs.Render(), "BS") {
 		t.Fatal("render missing workload row")
+	}
+}
+
+// shortRun returns BS's recording cut to its first n GC events: a real
+// replay unit that simulates in a fraction of the full log's time, so the
+// replay-memo tests stay cheap under -race.
+func shortRun(t *testing.T, s *Session, n int) *Run {
+	t.Helper()
+	r, err := s.Record("BS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Col.Log) < n {
+		t.Fatalf("BS recorded %d GC events, want at least %d", len(r.Col.Log), n)
+	}
+	short := *r
+	short.Col = &gc.Collector{Log: r.Col.Log[:n]}
+	return &short
+}
+
+// TestSessionConcurrentReplay: eight goroutines asking for one replay unit
+// simulate it exactly once, and every caller gets the same results.
+func TestSessionConcurrentReplay(t *testing.T) {
+	s := NewSession(Config{Workloads: []string{"BS"}})
+	r := shortRun(t, s, 2)
+
+	const goroutines = 8
+	outs := make([][]exec.Result, goroutines)
+	errs := make([]error, goroutines)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	done.Add(goroutines)
+	for g := 0; g < goroutines; g++ {
+		g := g
+		go func() {
+			defer done.Done()
+			start.Wait()
+			outs[g], errs[g] = s.Replay(r, exec.KindCharon, 8)
+		}()
+	}
+	start.Done()
+	done.Wait()
+
+	for g := 0; g < goroutines; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if len(outs[g]) != len(r.Col.Log) {
+			t.Fatalf("goroutine %d: %d results for %d GC events", g, len(outs[g]), len(r.Col.Log))
+		}
+		for i := range outs[g] {
+			if outs[g][i] != outs[0][i] {
+				t.Fatalf("goroutine %d, event %d: %+v, want %+v", g, i, outs[g][i], outs[0][i])
+			}
+		}
+	}
+	if got := s.Replays(); got != 1 {
+		t.Fatalf("Replays() = %d, want exactly 1", got)
+	}
+	// A later call is a hit, too.
+	if _, err := s.Replay(r, exec.KindCharon, 8); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Replays(); got != 1 {
+		t.Fatalf("Replays() after a repeat = %d, want 1", got)
+	}
+}
+
+// TestSessionReplayKeysSeparateUnits: units that differ only in platform
+// kind, thread count, heap factor, collector mode or fault seed are
+// different units — each simulates once and none is served another's
+// results.
+func TestSessionReplayKeysSeparateUnits(t *testing.T) {
+	s := NewSession(Config{Workloads: []string{"BS"}})
+	r := shortRun(t, s, 1)
+	factor, mode := *r, *r
+	factor.Factor = 2.0
+	mode.Mode = gc.ModeCMS
+	faulted := fault.Config{Rate: 0.05, Seed: 1}
+	reseeded := faulted
+	reseeded.Seed = 2
+	units := []struct {
+		label   string
+		r       *Run
+		kind    exec.Kind
+		threads int
+		fc      fault.Config
+	}{
+		{"base", r, exec.KindCharon, 8, fault.Config{}},
+		{"kind", r, exec.KindHMC, 8, fault.Config{}},
+		{"threads", r, exec.KindCharon, 4, fault.Config{}},
+		{"factor", &factor, exec.KindCharon, 8, fault.Config{}},
+		{"mode", &mode, exec.KindCharon, 8, fault.Config{}},
+		{"fault seed 1", r, exec.KindCharon, 8, faulted},
+		{"fault seed 2", r, exec.KindCharon, 8, reseeded},
+	}
+	outs := map[string][]exec.Result{}
+	for i, u := range units {
+		out, err := s.ReplayFault(u.r, u.kind, u.threads, u.fc)
+		if err != nil {
+			t.Fatalf("%s: %v", u.label, err)
+		}
+		if got := s.Replays(); got != i+1 {
+			t.Fatalf("%s: Replays() = %d, want %d — merged with an earlier unit", u.label, got, i+1)
+		}
+		outs[u.label] = out
+	}
+	// Units whose simulations differ must not share results either.
+	for _, label := range []string{"kind", "threads", "fault seed 1"} {
+		if outs[label][0] == outs["base"][0] {
+			t.Fatalf("%s unit returned the base unit's results", label)
+		}
+	}
+	if outs["fault seed 1"][0] == outs["fault seed 2"][0] {
+		t.Fatal("fault seeds 1 and 2 returned identical results")
+	}
+	// Every unit is memoized under its own key.
+	for _, u := range units {
+		if _, err := s.ReplayFault(u.r, u.kind, u.threads, u.fc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Replays(); got != len(units) {
+		t.Fatalf("repeats re-simulated: Replays() = %d, want %d", got, len(units))
+	}
+}
+
+// TestSessionReplayAbortReleasesWaiters: when the session context is
+// cancelled while a unit's owner simulates, every caller blocked on that
+// unit returns promptly with an error wrapping context.Canceled — never a
+// hang, never nil results with a nil error.
+func TestSessionReplayAbortReleasesWaiters(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := NewSession(Config{Workloads: []string{"BS"}, Ctx: ctx})
+	r, err := s.Record("BS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func() (out []exec.Result, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = panicError(p) // the owner re-raises its abort
+			}
+		}()
+		return s.Replay(r, exec.KindDDR4, 8)
+	}
+
+	const waiters = 7
+	type outcome struct {
+		out []exec.Result
+		err error
+	}
+	results := make(chan outcome, waiters+1)
+	go func() {
+		out, err := replay()
+		results <- outcome{out, err}
+	}()
+	for s.Replays() == 0 { // the owner has claimed the unit
+		time.Sleep(time.Millisecond)
+	}
+	for g := 0; g < waiters; g++ {
+		go func() {
+			out, err := replay()
+			results <- outcome{out, err}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+
+	timeout := time.After(60 * time.Second)
+	for i := 0; i < waiters+1; i++ {
+		select {
+		case o := <-results:
+			if o.err == nil {
+				t.Fatalf("caller got %d results and no error after cancellation", len(o.out))
+			}
+			if !errors.Is(o.err, context.Canceled) {
+				t.Fatalf("error %v does not unwrap to context.Canceled", o.err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d callers still blocked after cancellation", waiters+1-i, waiters+1)
+		}
+	}
+}
+
+// TestSessionReplayMetricsCountEveryUse: replaying one unit twice in a
+// session publishes exactly twice the counters of one replay — the second
+// call is a memo hit, yet it counts the simulation it stands for.
+func TestSessionReplayMetricsCountEveryUse(t *testing.T) {
+	snapshot := func(times int) metrics.Snapshot {
+		reg := metrics.NewRegistry()
+		s := NewSession(Config{Workloads: []string{"BS"}, Metrics: reg})
+		r := shortRun(t, s, 2)
+		for i := 0; i < times; i++ {
+			if _, err := s.Replay(r, exec.KindCharon, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.Replays(); got != 1 {
+			t.Fatalf("Replays() = %d, want 1", got)
+		}
+		return reg.Snapshot()
+	}
+	once, twice := snapshot(1), snapshot(2)
+	if len(once.Counters) == 0 {
+		t.Fatal("a replay published no counters")
+	}
+	if len(twice.Counters) != len(once.Counters) || len(twice.Gauges) != len(once.Gauges) ||
+		len(twice.Dists) != len(once.Dists) {
+		t.Fatalf("metric sets differ: %d/%d/%d vs %d/%d/%d counters/gauges/distributions",
+			len(twice.Counters), len(twice.Gauges), len(twice.Dists),
+			len(once.Counters), len(once.Gauges), len(once.Dists))
+	}
+	for name, v := range once.Counters {
+		if got := twice.Counters[name]; got != 2*v {
+			t.Errorf("counter %s = %v after two replays, want 2 × %v", name, got, v)
+		}
+	}
+	for name, v := range once.Gauges {
+		if got := twice.Gauges[name]; got != v {
+			t.Errorf("high-water gauge %s = %v after two replays, want %v", name, got, v)
+		}
+	}
+	for name, d := range once.Dists {
+		want := metrics.Dist{Count: 2 * d.Count, Sum: 2 * d.Sum, Min: d.Min, Max: d.Max}
+		if got := twice.Dists[name]; got != want {
+			t.Errorf("distribution %s = %+v after two replays, want %+v", name, got, want)
+		}
 	}
 }

@@ -163,6 +163,14 @@ func (l *Link) TransferAt(start sim.Time, dir int, n uint32) sim.Time {
 // Busy returns accumulated serialization occupancy per direction.
 func (l *Link) Busy(dir int) sim.Time { return l.lane[dir].Busy }
 
+// Forget drops both lanes' occupancy history before `before` (see
+// sim.Calendar.Forget): no later transfer may start before it.
+func (l *Link) Forget(before sim.Time) {
+	for _, c := range l.lane {
+		c.Forget(before)
+	}
+}
+
 // Utilization returns the fraction of [0, horizon) the given direction's
 // lane was serializing; always in [0, 1].
 func (l *Link) Utilization(dir int, horizon sim.Time) float64 {
@@ -228,6 +236,13 @@ func (c *Cube) AccessAt(start sim.Time, kind memsys.Kind, addr uint64, size uint
 	})
 	c.TSVStats.Record(&memsys.Request{Kind: kind, Size: size})
 	return last
+}
+
+// forget drops every vault bus's history before `before`.
+func (c *Cube) forget(before sim.Time) {
+	for _, v := range c.vaults {
+		v.Forget(before)
+	}
 }
 
 // Vaults exposes the vault controllers (for stats and tests).
@@ -398,6 +413,18 @@ func (s *System) HostLink() *Link { return s.hostLink }
 
 // CubeLink returns the cube0<->cube i link (i in 1..3).
 func (s *System) CubeLink(i int) *Link { return s.cubeLinks[i] }
+
+// Forget drops the occupancy history of every link and vault bus before
+// `before` (see sim.Calendar.Forget): no later access may start before it.
+func (s *System) Forget(before sim.Time) {
+	s.hostLink.Forget(before)
+	for _, l := range s.cubeLinks {
+		l.Forget(before)
+	}
+	for _, c := range s.cubes {
+		c.forget(before)
+	}
+}
 
 // Submit implements memsys.Port for host-side accesses: the request packet
 // traverses the host link into cube 0, is routed to the home cube, accesses

@@ -23,6 +23,9 @@ package sim
 // windowed BusyWithin query) still sees exact occupancy. The ring replaces
 // the previous map-of-every-bucket representation: reservation-time lookups
 // become array indexing, and retired buckets cost memory only when nonzero.
+// An owner whose reservations only move forward (a platform replaying GC
+// events in clock order) calls Forget to fold the retired history into one
+// total, so the calendar holds about one event's buckets, not the replay's.
 type Calendar struct {
 	width Time
 	ring  []bucket
@@ -40,6 +43,12 @@ type Calendar struct {
 	spill        map[int64]*spillChunk
 	lastSpill    *spillChunk
 	lastSpillIdx int64
+
+	// forgotten is the lowest bucket whose retired state is still held:
+	// Forget folded the busy time of every retired bucket below it into
+	// forgottenBusy and dropped the buckets (0: nothing forgotten).
+	forgotten     int64
+	forgottenBusy Time
 
 	// Incremental horizon accounting, so BusyWithin(h) for h at or beyond
 	// the latest occupied bucket — the overwhelmingly common query, since
@@ -137,10 +146,15 @@ func (c *Calendar) slideTo(b int64) {
 	for i := int64(0); i < steps; i++ {
 		idx := c.base + i
 		s := &c.ring[idx&calRingMask]
-		if s.highWater != 0 || s.busy != 0 {
+		switch {
+		case s.highWater == 0 && s.busy == 0:
+			continue
+		case idx < c.forgotten:
+			c.forgottenBusy += s.busy
+		default:
 			c.spillPut(idx, *s)
-			*s = bucket{}
 		}
+		*s = bucket{}
 	}
 	c.base = newBase
 }
@@ -165,6 +179,9 @@ func (c *Calendar) Reserve(at Time, dur Time) Time {
 			}
 			bk = c.ring[b&calRingMask]
 		} else {
+			if b < c.forgotten {
+				panic("sim: calendar reservation in forgotten history")
+			}
 			bk = c.spillAt(b)
 		}
 		// Position within the bucket: after existing occupancy, and not
@@ -213,6 +230,33 @@ func (c *Calendar) Reserve(at Time, dur Time) Time {
 	return end
 }
 
+// Forget folds the busy time of every retired bucket wholly before
+// `before` (rounded down to a spill chunk) into one total and frees the
+// buckets, so a long-lived resource holds the recent window rather than
+// its whole history. The caller promises that no later reservation
+// starts, and no BusyWithin horizon ends, before `before`; a reservation
+// or query that would need a forgotten bucket panics. Busy and every
+// BusyWithin answer the promise allows are unchanged.
+func (c *Calendar) Forget(before Time) {
+	fb := int64(before/c.width) &^ spillChunkMask
+	if fb <= c.forgotten {
+		return
+	}
+	for ci, ch := range c.spill {
+		if (ci+1)<<spillChunkBits > fb {
+			continue
+		}
+		for i := range ch {
+			c.forgottenBusy += ch[i].busy
+		}
+		delete(c.spill, ci)
+		if ch == c.lastSpill {
+			c.lastSpill = nil
+		}
+	}
+	c.forgotten = fb
+}
+
 // BusyWithin returns the reserved time that falls inside [0, horizon),
 // computed from per-bucket occupancy. Unlike the raw Busy total, a
 // reservation spilling past the horizon contributes only its in-horizon
@@ -255,7 +299,10 @@ func (c *Calendar) BusyWithin(horizon Time) Time {
 // occupied bucket: sum bucket occupancy over the spill map and the ring
 // window, capping the straddling bucket's contribution.
 func (c *Calendar) busyWithinScan(horizon Time, lastBucket int64) Time {
-	var t Time
+	if lastBucket < c.forgotten {
+		panic("sim: calendar busy-time query in forgotten history")
+	}
+	t := c.forgottenBusy
 	for ci, ch := range c.spill {
 		for i := range ch {
 			bk := ch[i]

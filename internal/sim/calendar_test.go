@@ -180,3 +180,64 @@ func TestCalendarBusyWithinNeverExceedsHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCalendarForgetKeepsAnswers(t *testing.T) {
+	// Replay-shaped use: phases (GC events) separated by idle gaps, each
+	// starting with Forget at its start time. Every reservation and every
+	// query the promise allows must answer exactly as the map-of-every-
+	// bucket reference does, while the retired history held stays bounded
+	// by what one phase retires.
+	const width = 100
+	window := Time(calRingSize) * width
+	rng := rand.New(rand.NewSource(7))
+	c, ref := NewCalendar(width), newReferenceCalendar(width)
+	var start Time
+	maxChunks := 0
+	for phase := 0; phase < 12; phase++ {
+		start += 3*window + Time(rng.Intn(int(window)))
+		c.Forget(start)
+		for i := 0; i < 400; i++ {
+			at := start + Time(i)*window/200 + Time(rng.Intn(int(window/4)))
+			dur := Time(1 + rng.Intn(4*width))
+			if got, want := c.Reserve(at, dur), ref.Reserve(at, dur); got != want {
+				t.Fatalf("phase %d: Reserve(%d, %d) = %d, reference %d", phase, at, dur, got, want)
+			}
+		}
+		maxChunks = max(maxChunks, len(c.spill))
+		for _, h := range []Time{start, start + 1, start + window, start + 2*window + 17, start + 4*window} {
+			if got, want := c.BusyWithin(h), ref.BusyWithin(h); got != want {
+				t.Fatalf("phase %d: BusyWithin(%d) = %d, reference %d", phase, h, got, want)
+			}
+		}
+		if c.Busy != ref.Busy {
+			t.Fatalf("phase %d: Busy %d, reference %d", phase, c.Busy, ref.Busy)
+		}
+	}
+	// One phase spans about three ring windows: 24 chunks of 512 buckets,
+	// plus partial chunks at either end.
+	if maxChunks > int(3*calRingSize/spillChunkSize+2) {
+		t.Fatalf("held %d spill chunks: history is not being forgotten", maxChunks)
+	}
+}
+
+func TestCalendarForgottenHistoryPanics(t *testing.T) {
+	const width = 100
+	far := 4 * Time(calRingSize) * width
+	for name, use := range map[string]func(c *Calendar){
+		"reserve": func(c *Calendar) { c.Reserve(0, 10) },
+		"query":   func(c *Calendar) { c.BusyWithin(width) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := NewCalendar(width)
+			c.Reserve(0, 10)
+			c.Reserve(far, 10) // slides bucket 0 out of the ring
+			c.Forget(far)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			use(c)
+		})
+	}
+}
