@@ -623,34 +623,16 @@ func (g *GCStats) Overhead() float64 {
 // log on the chosen platform, and returns aggregate statistics.
 func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCStats, err error) {
 	defer recoverInvariant(&err, fmt.Sprintf("SimulateGC(%s, %s)", name, p))
-	kind, err := p.kind()
+	g, err := replayWorkload(name, factor, p, threads)
 	if err != nil {
 		return nil, err
 	}
-	if err := (Config{Threads: threads, HeapFactor: factor, Workloads: []string{name}}).Validate(); err != nil {
-		return nil, err
-	}
-	if factor == 0 {
-		factor = 1.5
-	}
-	if threads == 0 {
-		threads = 8
-	}
-	s := experiments.NewSession(experiments.Config{Threads: threads, Factor: factor})
-	run, err := s.Record(name, factor)
-	if err != nil {
-		return nil, err
-	}
-	results, err := s.Replay(run, kind, threads)
-	if err != nil {
-		return nil, err
-	}
-	tot := experiments.Sum(kind, results, threads)
+	tot := experiments.Sum(g.kind, g.results, g.threads)
 
 	st = &GCStats{
-		Workload: name, Platform: p, HeapFactor: factor, Threads: threads,
+		Workload: name, Platform: p, HeapFactor: g.run.Factor, Threads: g.threads,
 		TotalPause:   simToDuration(tot.Duration),
-		MutatorTime:  simToDuration(run.MutTime),
+		MutatorTime:  simToDuration(g.run.MutTime),
 		PrimSeconds:  map[string]float64{},
 		Bandwidth:    tot.BandwidthGBs(),
 		LocalRatio:   tot.Local,
@@ -659,7 +641,7 @@ func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCSta
 	for pr := 0; pr < int(gc.NumPrims); pr++ {
 		st.PrimSeconds[gc.Prim(pr).String()] = tot.PrimTime[pr].Seconds()
 	}
-	for _, ev := range run.Col.Log {
+	for _, ev := range g.run.Col.Log {
 		if ev.Kind == gc.Minor {
 			st.MinorGCs++
 		} else {
@@ -669,6 +651,39 @@ func SimulateGC(name string, factor float64, p Platform, threads int) (st *GCSta
 		st.ReclaimedBytes += ev.ReclaimedBytes
 	}
 	return st, nil
+}
+
+// gcReplay is one workload's GC log replayed on one platform, with the
+// platform kind and thread count it ran at.
+type gcReplay struct {
+	kind    exec.Kind
+	threads int
+	run     *experiments.Run
+	results []exec.Result
+}
+
+// replayWorkload is SimulateGC and SimulateGCEvents' shared body: it
+// validates the request, fills the default heap factor (1.5) and thread
+// count (8), records the workload and replays its GC log on p.
+func replayWorkload(name string, factor float64, p Platform, threads int) (gcReplay, error) {
+	kind, err := p.kind()
+	if err != nil {
+		return gcReplay{}, err
+	}
+	if err := (Config{Threads: threads, HeapFactor: factor, Workloads: []string{name}}).Validate(); err != nil {
+		return gcReplay{}, err
+	}
+	s := experiments.NewSession(experiments.Config{Threads: threads, Factor: factor})
+	cfg := s.Config()
+	run, err := s.Record(name, cfg.Factor)
+	if err != nil {
+		return gcReplay{}, err
+	}
+	results, err := s.Replay(run, kind, cfg.Threads)
+	if err != nil {
+		return gcReplay{}, err
+	}
+	return gcReplay{kind: kind, threads: cfg.Threads, run: run, results: results}, nil
 }
 
 func simToDuration(t sim.Time) time.Duration {
@@ -690,31 +705,13 @@ type GCEvent struct {
 // per GC event, in order, with its simulated pause on the chosen platform.
 func SimulateGCEvents(name string, factor float64, p Platform, threads int) (evs []GCEvent, err error) {
 	defer recoverInvariant(&err, fmt.Sprintf("SimulateGCEvents(%s, %s)", name, p))
-	kind, err := p.kind()
+	g, err := replayWorkload(name, factor, p, threads)
 	if err != nil {
 		return nil, err
 	}
-	if err := (Config{Threads: threads, HeapFactor: factor, Workloads: []string{name}}).Validate(); err != nil {
-		return nil, err
-	}
-	if factor == 0 {
-		factor = 1.5
-	}
-	if threads == 0 {
-		threads = 8
-	}
-	s := experiments.NewSession(experiments.Config{Threads: threads, Factor: factor})
-	run, err := s.Record(name, factor)
-	if err != nil {
-		return nil, err
-	}
-	results, err := s.Replay(run, kind, threads)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]GCEvent, 0, len(results))
-	for i, r := range results {
-		ev := run.Col.Log[i]
+	out := make([]GCEvent, 0, len(g.results))
+	for i, r := range g.results {
+		ev := g.run.Col.Log[i]
 		out = append(out, GCEvent{
 			Seq: ev.Seq, Kind: ev.Kind.String(), Reason: ev.Reason,
 			Pause:          simToDuration(r.Duration),

@@ -278,6 +278,37 @@ func TestNewWithOptionsFillsDefaults(t *testing.T) {
 	}
 }
 
+// TestCharonForResolvesHardware: CharonFor is the one resolution rule —
+// nil, the defaults spelled out and a partial config naming only default
+// values all resolve to Table 2, a non-default field survives, and the
+// kind alone sets Distributed/CPUSide.
+func TestCharonForResolvesHardware(t *testing.T) {
+	def := charon.DefaultConfig()
+	mai32 := charon.Config{MAIEntries: 32}
+	mai16 := charon.Config{MAIEntries: 16}
+	for label, opt := range map[string]Options{
+		"nil":      {},
+		"spelled":  {CharonConfig: &def},
+		"mai=32":   {CharonConfig: &mai32},
+		"topology": {Topology: hmc.Chain},
+	} {
+		if got := opt.CharonFor(KindCharon); got != def {
+			t.Errorf("%s: CharonFor = %+v, want Table 2 %+v", label, got, def)
+		}
+	}
+	want16 := def
+	want16.MAIEntries = 16
+	if got := (Options{CharonConfig: &mai16}).CharonFor(KindCharon); got != want16 {
+		t.Errorf("MAI=16: CharonFor = %+v, want %+v", got, want16)
+	}
+	for _, kind := range Kinds() {
+		got := Options{}.CharonFor(kind)
+		if got.Distributed != (kind == KindCharonDistributed) || got.CPUSide != (kind == KindCharonCPUSide) {
+			t.Errorf("%s: Distributed=%t CPUSide=%t", kind, got.Distributed, got.CPUSide)
+		}
+	}
+}
+
 func TestTopologyOptionAffectsCharon(t *testing.T) {
 	evs, env := record(t, 8<<20)
 	star, _, _ := replayAll(mustOpt(t, KindCharon, env, 8, Options{Topology: hmc.Star}), evs, 8)

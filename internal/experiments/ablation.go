@@ -12,7 +12,9 @@ import (
 // AblationPoint is one configuration in a design-space sweep.
 type AblationPoint struct {
 	Label string
-	Opt   exec.Options
+	// Opt is the point's hardware: only CharonConfig and Topology are
+	// read; the session supplies every other platform option.
+	Opt exec.Options
 }
 
 // AblationResult holds Charon GC speedup over the DDR4 host at each point
@@ -45,8 +47,10 @@ func ablationWorkloads(cfg Config) []string {
 
 // runAblation replays the representative workloads on Charon at every
 // sweep point. The (point, workload) grid fans out across the session's
-// parallelism: each cell builds its own Charon platform from the point's
-// options, so no sweep point shares simulator state with another.
+// parallelism. Each cell is a session replay unit with the point's
+// hardware and the session's fault config, keyed by the resolved
+// hardware: a point at the Table 2 configuration is the plain Charon unit
+// other figures replay, and a memo or checkpoint hit.
 func runAblation(s *Session, name string, points []AblationPoint, def int) (*AblationResult, error) {
 	cfg := s.Config()
 	res := &AblationResult{Name: name, Points: points, Default: def}
@@ -65,15 +69,11 @@ func runAblation(s *Session, name string, points []AblationPoint, def int) (*Abl
 		if err != nil {
 			return err
 		}
-		p, err := s.NewPlatform(exec.KindCharon, run.Env, cfg.Threads, points[pi].Opt)
+		results, err := s.replay(unit{r: run, kind: exec.KindCharon, threads: cfg.Threads,
+			hw: points[pi].Opt, fc: cfg.Fault})
 		if err != nil {
 			return err
 		}
-		var results []exec.Result
-		for _, ev := range run.Col.Log {
-			results = append(results, p.Replay(ev, cfg.Threads))
-		}
-		s.Observe(p)
 		t := Sum(exec.KindCharon, results, cfg.Threads)
 		grid[pi][wi] = base.Duration.Seconds() / t.Duration.Seconds()
 		return nil

@@ -27,14 +27,27 @@ func (s *Session) checkpointStore() *checkpoint.Store {
 
 // runKey canonicalizes the fully-resolved configuration of one replay
 // unit. Everything that can change the result is in the key — recording
-// identity (workload, factor, collector mode), platform kind, GC thread
-// count — plus, per the documented conservative-invalidation rule, the
-// knobs that *shouldn't* change results but guard against drift: the
-// complete fault configuration and the session parallelism.
-func (s *Session) runKey(r *Run, kind exec.Kind, threads int, fc fault.Config) string {
+// identity (workload, factor, collector mode), platform kind and
+// hardware, GC thread count — plus, per the documented
+// conservative-invalidation rule, the knobs that *shouldn't* change
+// results but guard against drift: the complete fault configuration and
+// the session parallelism.
+func (s *Session) runKey(u unit) string {
 	return fmt.Sprintf(
-		"replay/v%d|wl=%s|factor=%.6g|mode=%v|platform=%s|threads=%d|par=%d|%s",
-		resultSchema, r.Name, r.Factor, r.Mode, kind, threads, s.cfg.Parallelism, faultKey(fc))
+		"replay/v%d|wl=%s|factor=%.6g|mode=%v|platform=%s|threads=%d|par=%d|%s|%s",
+		resultSchema, u.r.Name, u.r.Factor, u.r.Mode, u.kind, u.threads, s.cfg.Parallelism,
+		hardwareKey(u.kind, u.hw), faultKey(u.fc))
+}
+
+// hardwareKey canonicalizes a platform's hardware as exec resolves it, so
+// options that spell out the Table 2 defaults key like a plain platform.
+// Field-by-field, like faultKey.
+func hardwareKey(kind exec.Kind, hw exec.Options) string {
+	c := hw.CharonFor(kind)
+	return fmt.Sprintf(
+		"hw:topo=%s,copy=%d,bmcount=%d,scanpush=%d,mai=%d,tck=%d,grain=%d,bmcache=%d,dist=%t,cpuside=%t",
+		hw.Topology, c.CopySearchPerCube, c.BitmapCountPerCube, c.ScanPushUnits, c.MAIEntries,
+		uint64(c.LogicPeriod), c.StreamGrain, c.BitmapCacheBytes, c.Distributed, c.CPUSide)
 }
 
 // faultKey canonicalizes every fault knob. Field-by-field (not %+v) so a

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"charonsim/internal/charon"
 	"charonsim/internal/checkpoint"
 	"charonsim/internal/exec"
 	"charonsim/internal/fault"
+	"charonsim/internal/hmc"
 	"charonsim/internal/metrics"
 	"charonsim/internal/sim"
 )
@@ -88,23 +90,42 @@ func TestCheckpointReplayByteIdentity(t *testing.T) {
 }
 
 // TestCheckpointKeySeparatesConfigurations: different platform kinds,
-// thread counts and fault configs must land on different keys.
+// hardware, thread counts and fault configs must land on different keys,
+// while hardware options that spell out the Table 2 defaults must land on
+// the plain platform's key.
 func TestCheckpointKeySeparatesConfigurations(t *testing.T) {
 	s := NewSession(Config{})
 	r := &Run{Name: "BS", Factor: 1.5}
-	base := s.runKey(r, exec.KindCharon, 8, fault.Config{})
+	charonAt := func(hw exec.Options) string {
+		return s.runKey(unit{r: r, kind: exec.KindCharon, threads: 8, hw: hw})
+	}
+	base := charonAt(exec.Options{})
+	mai16 := charon.Config{MAIEntries: 16}
 	seen := map[string]string{base: "base"}
 	for label, key := range map[string]string{
-		"platform": s.runKey(r, exec.KindDDR4, 8, fault.Config{}),
-		"threads":  s.runKey(r, exec.KindCharon, 4, fault.Config{}),
-		"fault":    s.runKey(r, exec.KindCharon, 8, fault.Config{Rate: 0.01, Seed: 1}),
-		"factor":   s.runKey(&Run{Name: "BS", Factor: 2.0}, exec.KindCharon, 8, fault.Config{}),
-		"workload": s.runKey(&Run{Name: "ALS", Factor: 1.5}, exec.KindCharon, 8, fault.Config{}),
+		"platform": s.runKey(unit{r: r, kind: exec.KindDDR4, threads: 8}),
+		"threads":  s.runKey(unit{r: r, kind: exec.KindCharon, threads: 4}),
+		"fault":    s.runKey(unit{r: r, kind: exec.KindCharon, threads: 8, fc: fault.Config{Rate: 0.01, Seed: 1}}),
+		"factor":   s.runKey(unit{r: &Run{Name: "BS", Factor: 2.0}, kind: exec.KindCharon, threads: 8}),
+		"workload": s.runKey(unit{r: &Run{Name: "ALS", Factor: 1.5}, kind: exec.KindCharon, threads: 8}),
+		"mai":      charonAt(exec.Options{CharonConfig: &mai16}),
+		"topology": charonAt(exec.Options{Topology: hmc.Chain}),
 	} {
 		if prev, dup := seen[key]; dup {
 			t.Fatalf("key for %q collides with %q: %s", label, prev, key)
 		}
 		seen[key] = label
+	}
+	def := charon.DefaultConfig()
+	mai32 := charon.Config{MAIEntries: 32}
+	for label, hw := range map[string]exec.Options{
+		"defaults spelled out": {CharonConfig: &def},
+		"partial default":      {CharonConfig: &mai32},
+		"explicit star":        {Topology: hmc.Star},
+	} {
+		if key := charonAt(hw); key != base {
+			t.Fatalf("%s: key %s, want the plain Charon key %s", label, key, base)
+		}
 	}
 }
 
@@ -184,5 +205,31 @@ func TestWatchdogWallClockAbortsReplay(t *testing.T) {
 	}
 	if !errors.Is(err, sim.ErrNoProgress) && !strings.Contains(err.Error(), "run timeout") {
 		t.Fatalf("unexpected error shape: %v", err)
+	}
+}
+
+// TestAblationsResumeFromCheckpoint: ablation units are checkpointed like
+// every other replay, so a second session over the same store runs every
+// sweep without simulating and renders the same tables.
+func TestAblationsResumeFromCheckpoint(t *testing.T) {
+	st := newStore(t)
+	first := shortSession(t, Config{Checkpoint: st}, 2)
+	want, err := Ablations(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Replays() == 0 {
+		t.Fatal("the first session simulated nothing")
+	}
+	second := shortSession(t, Config{Checkpoint: st}, 2)
+	got, err := Ablations(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := second.Replays(); n != 0 {
+		t.Fatalf("resumed session simulated %d units, want 0", n)
+	}
+	if RenderAblations(got) != RenderAblations(want) {
+		t.Fatalf("resumed ablations diverged:\n%s\nvs\n%s", RenderAblations(got), RenderAblations(want))
 	}
 }

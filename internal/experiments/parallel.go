@@ -148,15 +148,8 @@ func (c Config) forEach(n int, fn func(i int) error) error {
 	return forEachCtx(c.Ctx, c.Parallelism, c.RunTimeout, n, fn)
 }
 
-// forEachGrid is forEach over an n-by-m index grid, flattened row-major so
-// all n*m cells can run concurrently.
-func forEachGrid(par, n, m int, fn func(i, j int) error) error {
-	return forEach(par, n*m, func(k int) error {
-		return fn(k/m, k%m)
-	})
-}
-
-// forEachGrid is the Config-bound grid variant.
+// forEachGrid is the Config-bound pool over an n-by-m index grid,
+// flattened row-major so all n*m cells can run concurrently.
 func (c Config) forEachGrid(n, m int, fn func(i, j int) error) error {
 	return c.forEach(n*m, func(k int) error {
 		return fn(k/m, k%m)

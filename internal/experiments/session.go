@@ -141,21 +141,23 @@ type Run struct {
 
 // Session memoizes recorded workload runs and platform replays, so a
 // full experiment suite records each workload once and simulates each
-// replay unit — one (recording, platform, threads, fault) replay — once,
-// however many figures normalize to it.
+// replay unit — one (recording, platform hardware, threads, fault)
+// replay — once, however many figures and ablation points normalize to
+// it. It is the only place experiments build platforms, so its trace
+// recorder, watchdog, context, fault config and checkpoint store reach
+// every simulated unit.
 //
-// Session is safe for concurrent use. Both memos are single-flight:
-// concurrent calls for the same key execute the work exactly once while
-// the other callers block on the in-flight result. Record/RecordMode key
-// on (workload, factor, mode); ReplayFault keys on runKey, the canonical
-// key the checkpoint store also uses. A recording is immutable once
-// returned, so replays of different units proceed concurrently.
+// Session is safe for concurrent use. Both memos are single-flight (see
+// singleFlight). Record/RecordMode key on (workload, factor, mode);
+// replays key on runKey, the canonical key the checkpoint store also
+// uses. A recording is immutable once returned, so replays of different
+// units proceed concurrently.
 type Session struct {
 	cfg Config
 
 	mu      sync.Mutex
-	runs    map[string]*inflight    // key: name@factor@mode
-	replays map[string]*replayEntry // key: runKey
+	runs    map[string]*flight[*Run]     // key: name@factor@mode
+	replays map[string]*flight[replayed] // key: runKey
 	// simulated counts replay units actually simulated (see Replays).
 	simulated int
 
@@ -165,32 +167,62 @@ type Session struct {
 	onRecord func(key string)
 }
 
-// inflight is a single-flight slot: the first caller claims the key and
-// executes; done is closed when run/err are final. Errors are cached too —
-// recording is deterministic, so a failed key would fail identically on
-// retry.
-type inflight struct {
+// flight is the single-flight slot of one memo key. The first caller for
+// the key owns it and runs the work; the others block on done until val
+// and err are final.
+type flight[T any] struct {
 	done chan struct{}
-	run  *Run
+	val  T
 	err  error
 }
 
-// replayEntry is the single-flight slot of one replay unit. The owner —
-// the first caller for the key — fills out, unit and err, then closes
-// done. unit holds the unit's own component counters (nil when metrics
-// are off); every use of the entry merges it into the session registry,
-// so a memo hit counts the simulation it stands for.
-type replayEntry struct {
-	done chan struct{}
+// singleFlight returns the memoized outcome of key in m, running fn on the
+// first call. Release has one rule for both memos. A returned error is
+// final and stays memoized: recording and replay are deterministic, so the
+// key would fail identically on retry. A panic (a watchdog abort, a
+// cancelled context, a tripped invariant) is not: the slot is dropped so a
+// later call runs again, every waiter gets the panic as a panicError, and
+// the owner re-panics. No exit path leaves a waiter blocked.
+func singleFlight[T any](mu *sync.Mutex, m map[string]*flight[T], key string, fn func() (T, error)) (T, error) {
+	mu.Lock()
+	f, hit := m[key]
+	if !hit {
+		f = &flight[T]{done: make(chan struct{})}
+		m[key] = f
+	}
+	mu.Unlock()
+	if hit {
+		<-f.done
+		return f.val, f.err
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			f.err = panicError(p)
+			mu.Lock()
+			delete(m, key)
+			mu.Unlock()
+			close(f.done)
+			panic(p)
+		}
+	}()
+	f.val, f.err = fn()
+	close(f.done)
+	return f.val, f.err
+}
+
+// replayed is one replay unit's memoized outcome. unit holds the unit's
+// own component counters (nil when metrics are off); every use merges it
+// into the session registry, so a memo hit counts the simulation it
+// stands for.
+type replayed struct {
 	out  []exec.Result
 	unit *metrics.Registry
-	err  error
 }
 
 // NewSession creates a session.
 func NewSession(cfg Config) *Session {
-	return &Session{cfg: cfg.withDefaults(), runs: map[string]*inflight{},
-		replays: map[string]*replayEntry{}}
+	return &Session{cfg: cfg.withDefaults(), runs: map[string]*flight[*Run]{},
+		replays: map[string]*flight[replayed]{}}
 }
 
 // Config returns the session configuration (defaults applied).
@@ -216,22 +248,12 @@ func (s *Session) Record(name string, factor float64) (*Run, error) {
 // collectors), for the applicability studies.
 func (s *Session) RecordMode(name string, factor float64, mode gc.Mode) (*Run, error) {
 	key := RecordKey(name, factor, mode)
-	s.mu.Lock()
-	if f, ok := s.runs[key]; ok {
-		s.mu.Unlock()
-		<-f.done // block on the in-flight (or completed) execution
-		return f.run, f.err
-	}
-	f := &inflight{done: make(chan struct{})}
-	s.runs[key] = f
-	s.mu.Unlock()
-
-	if s.onRecord != nil {
-		s.onRecord(key)
-	}
-	f.run, f.err = record(name, factor, mode)
-	close(f.done)
-	return f.run, f.err
+	return singleFlight(&s.mu, s.runs, key, func() (*Run, error) {
+		if s.onRecord != nil {
+			s.onRecord(key)
+		}
+		return record(name, factor, mode)
+	})
 }
 
 // record executes one workload recording. It touches no session state.
@@ -268,37 +290,6 @@ func (s *Session) Replays() int {
 	return s.simulated
 }
 
-// NewPlatform builds a platform wired with the session's trace recorder,
-// cancellation context, and engine watchdog. Experiment code must build
-// replay platforms through this (or Replay) so the observability and
-// self-protection configuration reaches every simulated component. An
-// unknown kind is returned as an error.
-func (s *Session) NewPlatform(kind exec.Kind, env exec.Env, threads int, opt exec.Options) (exec.Platform, error) {
-	opt.Trace = s.cfg.Trace
-	if opt.Ctx == nil {
-		opt.Ctx = s.cfg.Ctx
-	}
-	if opt.Watchdog == nil {
-		wd := s.cfg.watchdog()
-		opt.Watchdog = &wd
-	}
-	return exec.NewWithOptions(kind, env, threads, opt)
-}
-
-// Observe publishes a finished platform's component counters into the
-// session's metrics registry. No-op when metrics are disabled.
-func (s *Session) Observe(p exec.Platform) { collect(p, s.cfg.Metrics) }
-
-// collect publishes a finished platform's component counters into reg.
-// No-op when reg is nil.
-func collect(p exec.Platform, reg *metrics.Registry) {
-	if reg.Enabled() {
-		if ms, ok := p.(exec.MetricsSource); ok {
-			ms.CollectMetrics(reg)
-		}
-	}
-}
-
 // Replay plays a run's full GC log on a platform of the given kind,
 // returning per-event results; the session's fault configuration (if
 // any) applies. See ReplayFault for memoization: the returned slice is
@@ -309,119 +300,116 @@ func (s *Session) Replay(r *Run, kind exec.Kind, threads int) ([]exec.Result, er
 
 // ReplayFault is Replay with an explicit fault configuration, overriding
 // the session's — the fault-sweep experiment uses it to replay the same
-// recording at several fault rates within one session.
-//
-// Each replay unit is simulated once per session: the first caller for a
-// unit's runKey owns it, and concurrent or later callers get the owner's
-// results. The returned slice is therefore shared between callers and
-// must be treated as read-only. Every call, hit or not, merges the
-// unit's component counters into the session's metrics registry, so a
-// snapshot is the same as if every call had simulated. With a trace
-// recorder set, every call simulates live instead, so the trace keeps
-// one span set per call.
-//
-// A failed unit (an error, or a panic such as a watchdog abort or a
-// cancelled context) hands its waiters the same error — a panic becomes
-// an error that wraps a sim.Aborted cause — and re-panics in the owner.
-// The failure is not memoized: a later call simulates again.
+// recording at several fault rates within one session. The platform has
+// Table 2 hardware; see replay for memoization and failure handling.
+func (s *Session) ReplayFault(r *Run, kind exec.Kind, threads int, fc fault.Config) ([]exec.Result, error) {
+	return s.replay(unit{r: r, kind: kind, threads: threads, fc: fc})
+}
+
+// unit is one replay unit: a recording played with threads GC threads on
+// a platform of the given kind and hardware, under fault config fc.
+type unit struct {
+	r       *Run
+	kind    exec.Kind
+	threads int
+	// hw carries the platform hardware: CharonConfig and Topology (the
+	// ablation points' knobs). The session supplies every other option.
+	hw exec.Options
+	fc fault.Config
+}
+
+// replay returns u's per-event results, simulating u once per session:
+// the first caller for its runKey owns it, and concurrent or later
+// callers get the owner's results. The returned slice is therefore
+// shared between callers and must be treated as read-only. Every call,
+// hit or not, merges the unit's component counters into the session's
+// metrics registry, so a snapshot is the same as if every call had
+// simulated. With a trace recorder set, every call simulates live
+// instead, so the trace keeps one span set per call. Failures follow
+// singleFlight's rule: a panic reaches waiters as an error wrapping its
+// sim.Aborted cause, and a later call simulates again.
 //
 // When the session has a checkpoint store, the owner consults it first:
 // a valid cached entry is returned byte-identically without simulating,
 // and a live result is persisted on completion. Store I/O failures never
 // fail the replay — a lost Put just means that unit re-executes on the
 // next resume.
-func (s *Session) ReplayFault(r *Run, kind exec.Kind, threads int, fc fault.Config) ([]exec.Result, error) {
+func (s *Session) replay(u unit) ([]exec.Result, error) {
 	if s.cfg.Trace != nil {
-		return s.simulate(r, kind, threads, fc, s.cfg.Metrics)
+		return s.simulate(u, s.cfg.Metrics)
 	}
-	key := s.runKey(r, kind, threads, fc)
-	s.mu.Lock()
-	e, hit := s.replays[key]
-	if !hit {
-		e = &replayEntry{done: make(chan struct{})}
-		s.replays[key] = e
-	}
-	s.mu.Unlock()
-	if hit {
-		<-e.done
-	} else {
-		s.own(e, key, r, kind, threads, fc)
-	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	s.cfg.Metrics.Merge(e.unit)
-	return e.out, nil
-}
-
-// own executes the replay unit e on behalf of every caller of key: a
-// checkpoint hit, or else a live simulation persisted to the store. The
-// deferred release publishes the outcome and closes done on every exit
-// path, so waiters never hang; a panic is handed to them as an error and
-// then re-raised in the owner.
-func (s *Session) own(e *replayEntry, key string, r *Run, kind exec.Kind, threads int, fc fault.Config) {
-	defer func() {
-		p := recover()
-		if p != nil {
-			e.out, e.unit, e.err = nil, nil, panicError(p)
-		}
-		if e.err != nil {
-			s.mu.Lock()
-			delete(s.replays, key)
-			s.mu.Unlock()
-		}
-		close(e.done)
-		if p != nil {
-			panic(p)
-		}
-	}()
-	st := s.checkpointStore()
-	if st != nil {
-		if out, ok := getCachedResults(st, key); ok {
-			e.out = out
-			return
-		}
-	}
-	if s.cfg.Metrics.Enabled() {
-		e.unit = metrics.NewRegistry()
-	}
-	e.out, e.err = s.simulate(r, kind, threads, fc, e.unit)
-	if e.err == nil && st != nil {
-		putCachedResults(st, key, e.out)
-	}
-}
-
-// simulate plays r's GC log on a fresh platform and publishes the
-// platform's component counters into reg (nil: none). Each call counts
-// as one simulated unit in Replays.
-func (s *Session) simulate(r *Run, kind exec.Kind, threads int, fc fault.Config, reg *metrics.Registry) ([]exec.Result, error) {
-	s.mu.Lock()
-	s.simulated++
-	s.mu.Unlock()
-	opt := exec.Options{}
-	if fc.Enabled() {
-		opt.Fault = &fc
-	}
-	p, err := s.NewPlatform(kind, r.Env, threads, opt)
+	key := s.runKey(u)
+	rep, err := singleFlight(&s.mu, s.replays, key, func() (replayed, error) {
+		return s.own(u, key)
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]exec.Result, 0, len(r.Col.Log))
-	for _, ev := range r.Col.Log {
-		out = append(out, p.Replay(ev, threads))
+	s.cfg.Metrics.Merge(rep.unit)
+	return rep.out, nil
+}
+
+// own produces replay unit u on behalf of every caller of key: a
+// checkpoint hit, or else a live simulation persisted to the store.
+func (s *Session) own(u unit, key string) (replayed, error) {
+	st := s.checkpointStore()
+	if st != nil {
+		if out, ok := getCachedResults(st, key); ok {
+			return replayed{out: out}, nil
+		}
 	}
-	collect(p, reg)
+	var rep replayed
+	if s.cfg.Metrics.Enabled() {
+		rep.unit = metrics.NewRegistry()
+	}
+	out, err := s.simulate(u, rep.unit)
+	if err != nil {
+		return replayed{}, err
+	}
+	rep.out = out
+	if st != nil {
+		putCachedResults(st, key, out)
+	}
+	return rep, nil
+}
+
+// simulate plays u's GC log on a fresh platform wired with the session's
+// trace recorder, cancellation context and engine watchdog, and publishes
+// the platform's component counters into reg (nil: none). It is the one
+// place experiments build a platform. Each call counts as one simulated
+// unit in Replays. An unknown kind is returned as an error.
+func (s *Session) simulate(u unit, reg *metrics.Registry) ([]exec.Result, error) {
+	s.mu.Lock()
+	s.simulated++
+	s.mu.Unlock()
+	wd := s.cfg.watchdog()
+	opt := exec.Options{CharonConfig: u.hw.CharonConfig, Topology: u.hw.Topology,
+		Trace: s.cfg.Trace, Ctx: s.cfg.Ctx, Watchdog: &wd}
+	if u.fc.Enabled() {
+		opt.Fault = &u.fc
+	}
+	p, err := exec.NewWithOptions(u.kind, u.r.Env, u.threads, opt)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]exec.Result, 0, len(u.r.Col.Log))
+	for _, ev := range u.r.Col.Log {
+		out = append(out, p.Replay(ev, u.threads))
+	}
+	if ms, ok := p.(exec.MetricsSource); ok && reg.Enabled() {
+		ms.CollectMetrics(reg)
+	}
 	return out, nil
 }
 
-// panicError is the error a replay owner's panic hands its waiters. A
+// panicError is the error a memo owner's panic hands its waiters. A
 // sim.Aborted keeps its cause, so errors.Is against sim.ErrNoProgress or
 // context.Canceled works for a waiter as it does for the owner.
 func panicError(p any) error {
 	if ab, ok := p.(sim.Aborted); ok {
-		return fmt.Errorf("experiments: replay aborted: %w", ab.Err)
+		return fmt.Errorf("experiments: aborted: %w", ab.Err)
 	}
-	return fmt.Errorf("experiments: replay panicked: %v", p)
+	return fmt.Errorf("experiments: panicked: %v", p)
 }
 
 // Totals aggregates replay results.

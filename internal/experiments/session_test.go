@@ -3,15 +3,18 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"charonsim/internal/charon"
 	"charonsim/internal/exec"
 	"charonsim/internal/fault"
 	"charonsim/internal/gc"
+	"charonsim/internal/hmc"
 	"charonsim/internal/metrics"
 )
 
@@ -252,7 +255,7 @@ func TestForEach(t *testing.T) {
 	t.Run("grid is row-major", func(t *testing.T) {
 		var mu sync.Mutex
 		var cells [][2]int
-		if err := forEachGrid(4, 3, 2, func(i, j int) error {
+		if err := (Config{Parallelism: 4}).forEachGrid(3, 2, func(i, j int) error {
 			mu.Lock()
 			cells = append(cells, [2]int{i, j})
 			mu.Unlock()
@@ -366,8 +369,8 @@ func TestSessionConcurrentReplay(t *testing.T) {
 }
 
 // TestSessionReplayKeysSeparateUnits: units that differ only in platform
-// kind, thread count, heap factor, collector mode or fault seed are
-// different units — each simulates once and none is served another's
+// kind, hardware, thread count, heap factor, collector mode or fault seed
+// are different units — each simulates once and none is served another's
 // results.
 func TestSessionReplayKeysSeparateUnits(t *testing.T) {
 	s := NewSession(Config{Workloads: []string{"BS"}})
@@ -378,24 +381,33 @@ func TestSessionReplayKeysSeparateUnits(t *testing.T) {
 	faulted := fault.Config{Rate: 0.05, Seed: 1}
 	reseeded := faulted
 	reseeded.Seed = 2
+	mai16 := charon.DefaultConfig()
+	mai16.MAIEntries = 16
 	units := []struct {
 		label   string
 		r       *Run
 		kind    exec.Kind
 		threads int
+		hw      exec.Options
 		fc      fault.Config
 	}{
-		{"base", r, exec.KindCharon, 8, fault.Config{}},
-		{"kind", r, exec.KindHMC, 8, fault.Config{}},
-		{"threads", r, exec.KindCharon, 4, fault.Config{}},
-		{"factor", &factor, exec.KindCharon, 8, fault.Config{}},
-		{"mode", &mode, exec.KindCharon, 8, fault.Config{}},
-		{"fault seed 1", r, exec.KindCharon, 8, faulted},
-		{"fault seed 2", r, exec.KindCharon, 8, reseeded},
+		{"base", r, exec.KindCharon, 8, exec.Options{}, fault.Config{}},
+		{"kind", r, exec.KindHMC, 8, exec.Options{}, fault.Config{}},
+		{"threads", r, exec.KindCharon, 4, exec.Options{}, fault.Config{}},
+		{"factor", &factor, exec.KindCharon, 8, exec.Options{}, fault.Config{}},
+		{"mode", &mode, exec.KindCharon, 8, exec.Options{}, fault.Config{}},
+		{"fault seed 1", r, exec.KindCharon, 8, exec.Options{}, faulted},
+		{"fault seed 2", r, exec.KindCharon, 8, exec.Options{}, reseeded},
+		{"MAI=16", r, exec.KindCharon, 8, exec.Options{CharonConfig: &mai16}, fault.Config{}},
+		{"chain", r, exec.KindCharon, 8, exec.Options{Topology: hmc.Chain}, fault.Config{}},
+	}
+	replay := func(i int) ([]exec.Result, error) {
+		u := units[i]
+		return s.replay(unit{r: u.r, kind: u.kind, threads: u.threads, hw: u.hw, fc: u.fc})
 	}
 	outs := map[string][]exec.Result{}
 	for i, u := range units {
-		out, err := s.ReplayFault(u.r, u.kind, u.threads, u.fc)
+		out, err := replay(i)
 		if err != nil {
 			t.Fatalf("%s: %v", u.label, err)
 		}
@@ -405,7 +417,7 @@ func TestSessionReplayKeysSeparateUnits(t *testing.T) {
 		outs[u.label] = out
 	}
 	// Units whose simulations differ must not share results either.
-	for _, label := range []string{"kind", "threads", "fault seed 1"} {
+	for _, label := range []string{"kind", "threads", "fault seed 1", "MAI=16", "chain"} {
 		if outs[label][0] == outs["base"][0] {
 			t.Fatalf("%s unit returned the base unit's results", label)
 		}
@@ -414,8 +426,8 @@ func TestSessionReplayKeysSeparateUnits(t *testing.T) {
 		t.Fatal("fault seeds 1 and 2 returned identical results")
 	}
 	// Every unit is memoized under its own key.
-	for _, u := range units {
-		if _, err := s.ReplayFault(u.r, u.kind, u.threads, u.fc); err != nil {
+	for i := range units {
+		if _, err := replay(i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -526,5 +538,149 @@ func TestSessionReplayMetricsCountEveryUse(t *testing.T) {
 		if got := twice.Dists[name]; got != want {
 			t.Errorf("distribution %s = %+v after two replays, want %+v", name, got, want)
 		}
+	}
+}
+
+// TestSessionRecordPanicReleasesWaiters: when a recording's owner panics,
+// every caller blocked on that key returns an error promptly — never a
+// hang — and the panic is not memoized: a later Record runs again.
+func TestSessionRecordPanicReleasesWaiters(t *testing.T) {
+	s := NewSession(Config{Workloads: []string{"BS"}})
+	var mu sync.Mutex
+	calls, armed := 0, true
+	claimed, release := make(chan struct{}), make(chan struct{})
+	s.SetRecordHook(func(string) {
+		mu.Lock()
+		calls++
+		first, trip := calls == 1, armed
+		mu.Unlock()
+		if first { // hold the key until the waiters queue behind it
+			close(claimed)
+			<-release
+		}
+		if trip {
+			panic("recording hook tripped")
+		}
+	})
+	record := func() (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = panicError(p) // the owner re-raises its panic
+			}
+		}()
+		_, err = s.Record("BS", 1.5)
+		return err
+	}
+
+	const waiters = 7
+	errs := make(chan error, waiters+1)
+	go func() { errs <- record() }()
+	<-claimed
+	for g := 0; g < waiters; g++ {
+		go func() { errs <- record() }()
+	}
+	// Give the waiters time to block on the owner's slot. The outcome does
+	// not depend on it: a late caller becomes an owner and panics too.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+
+	timeout := time.After(30 * time.Second)
+	for i := 0; i < waiters+1; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "recording hook tripped") {
+				t.Fatalf("caller got error %v, want the owner's panic", err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d callers still blocked after the owner panicked", waiters+1-i, waiters+1)
+		}
+	}
+
+	mu.Lock()
+	armed = false
+	before := calls
+	mu.Unlock()
+	r, err := s.Record("BS", 1.5)
+	if err != nil || r == nil || len(r.Col.Log) == 0 {
+		t.Fatalf("Record after the panic: run %v, error %v", r, err)
+	}
+	if calls != before+1 {
+		t.Fatalf("Record after the panic executed %d recordings, want 1 — the panic was memoized", calls-before)
+	}
+}
+
+// shortSession is a BS-only session whose BS recording is cut to its
+// first n GC events (see shortRun), so whole experiments replay cheaply.
+func shortSession(t *testing.T, cfg Config, n int) *Session {
+	t.Helper()
+	cfg.Workloads = []string{"BS"}
+	s := NewSession(cfg)
+	r := shortRun(t, s, n)
+	done := make(chan struct{})
+	close(done)
+	s.runs[RecordKey(r.Name, r.Factor, r.Mode)] = &flight[*Run]{done: done, val: r}
+	return s
+}
+
+// TestAblationDefaultPointsReuseCharonUnit: an ablation point at the
+// Table 2 configuration is the plain Charon unit — a memo hit, not a new
+// simulation — so each sweep simulates only its non-default points.
+func TestAblationDefaultPointsReuseCharonUnit(t *testing.T) {
+	s := shortSession(t, Config{}, 2)
+	r, err := s.Record("BS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Replay(r, exec.KindCharon, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AblateMAI(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AblateTopology(s); err != nil {
+		t.Fatal(err)
+	}
+	// The DDR4 baseline, MAI=4/8/16/64 and chain; MAI=32 and star are hits.
+	if got := s.Replays(); got != 1+6 {
+		t.Fatalf("Replays() = %d after MAI and topology sweeps, want %d", got, 1+6)
+	}
+	if _, err := Ablations(s); err != nil {
+		t.Fatal(err)
+	}
+	// grain=64/128B, bmcache=1/4/32KB and copy-units=1/4; every paper point
+	// and every sweep already run is a hit.
+	if got := s.Replays(); got != 1+6+7 {
+		t.Fatalf("Replays() = %d after all sweeps, want %d", got, 1+6+7)
+	}
+}
+
+// TestAblationFaultContract: with Config.Fault set, ablation points are
+// faulted like every other replay — the star point's speedup is the
+// faulted DDR4 total over the faulted Charon total of the same session.
+func TestAblationFaultContract(t *testing.T) {
+	fc := fault.Config{Rate: 0.05, Seed: 1}
+	s := shortSession(t, Config{Fault: fc}, 2)
+	res, err := AblateTopology(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.Record("BS", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := func(kind exec.Kind, fc fault.Config) float64 {
+		out, err := s.ReplayFault(r, kind, 8, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Sum(kind, out, 8).Duration.Seconds()
+	}
+	faulted := total(exec.KindCharon, fc)
+	if clean := total(exec.KindCharon, fault.Config{}); clean == faulted {
+		t.Fatal("the fault config does not change the Charon replay; the test proves nothing")
+	}
+	want := total(exec.KindDDR4, fc) / faulted
+	if got := res.Speedup[res.Default]; math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("star speedup %v, want faulted DDR4 / faulted Charon = %v", got, want)
 	}
 }
