@@ -52,11 +52,10 @@ import (
 	"charonsim/internal/workload"
 )
 
-// ErrNoProgress is the engine watchdog's verdict on a wedged simulation:
-// a run aborted because simulated time stopped advancing, the event queue
-// grew without bound, or the per-run wall-clock heartbeat expired. Match
-// it with errors.Is on any error returned from Run, RunAll or the
-// Simulate functions.
+// ErrNoProgress is the replay watchdog's verdict on a wedged simulation:
+// a run aborted because simulated time stopped advancing or the per-run
+// wall-clock heartbeat expired. Match it with errors.Is on any error
+// returned from Run, RunAll or the Simulate functions.
 var ErrNoProgress = sim.ErrNoProgress
 
 // ErrInternal marks an internal invariant violation (a panic in the
@@ -113,7 +112,7 @@ type Config struct {
 	// RunTimeout, when positive, bounds each simulation unit's wall-clock
 	// time in the harness worker pool; a run exceeding it fails with a
 	// timeout error instead of hanging the whole sweep. It also arms the
-	// engine watchdog's wall-clock heartbeat inside each run, so a wedged
+	// replay watchdog's wall-clock heartbeat inside each run, so a wedged
 	// simulation aborts with diagnostics (ErrNoProgress) rather than
 	// silently burning its budget.
 	RunTimeout time.Duration
@@ -129,15 +128,16 @@ type Config struct {
 	// naturally. Incompatible with MetricsPath/TracePath: a cached replay
 	// executes no simulation and would silently skew their counters.
 	CheckpointDir string
-	// WatchdogStalls overrides the engine watchdog's stall budget — the
-	// number of consecutive events executed without simulated time
+	// WatchdogStalls overrides the replay watchdog's stall budget — the
+	// number of consecutive replay-scheduler steps without simulated time
 	// advancing before the run is declared wedged. 0 selects the default
 	// (generous enough for every legitimate workload); -1 disables the
 	// stall check.
 	WatchdogStalls int
-	// WatchdogQueue overrides the engine watchdog's event-queue bound — a
-	// queue growing past it aborts the run as a leak. 0 selects the
-	// default; -1 disables the check.
+	// WatchdogQueue is accepted and validated (>= -1) but has no effect:
+	// replay reserves time on calendars and has no event queue to bound.
+	// It stays so existing configurations, flags and charond job specs
+	// keep their meaning and their job identities.
 	WatchdogQueue int
 }
 
@@ -146,8 +146,7 @@ func (c Config) toInternal() experiments.Config {
 		Workloads: c.Workloads, Parallelism: c.Parallelism,
 		Fault:          c.faultConfig(),
 		RunTimeout:     c.RunTimeout,
-		WatchdogStalls: c.WatchdogStalls,
-		WatchdogQueue:  c.WatchdogQueue}
+		WatchdogStalls: c.WatchdogStalls}
 }
 
 // faultConfig maps the public fault knobs onto the injector configuration.

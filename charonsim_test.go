@@ -332,7 +332,7 @@ func TestRunWritesMetricsAndTrace(t *testing.T) {
 	if err := json.Unmarshal(raw, &snap); err != nil {
 		t.Fatalf("metrics snapshot is not JSON: %v", err)
 	}
-	for _, want := range []string{"trace/events", "charon/charon/offload_copy", "ddr4/sim/events"} {
+	for _, want := range []string{"trace/events", "charon/charon/offload_copy", "ddr4/gc_events"} {
 		if _, ok := snap.Counters[want]; !ok {
 			t.Errorf("snapshot missing counter %s", want)
 		}

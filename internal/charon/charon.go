@@ -454,7 +454,7 @@ func (a *Accelerator) transportResponse(t sim.Time, cube int, bytes uint32) sim.
 // links for remote addresses) for near-memory placement, or over the full
 // host link path for CPU-side placement.
 func (a *Accelerator) memAccess(start sim.Time, cube int, kind memsys.Kind, addr uint64, size uint32) sim.Time {
-	a.Stats.Mem.Record(&memsys.Request{Kind: kind, Size: size})
+	a.Stats.Mem.Record(kind, size)
 	if a.cfg.CPUSide {
 		return a.sys.HostAccessAt(start, kind, addr, size)
 	}

@@ -42,10 +42,10 @@ func (f *SimFlags) Register(fs *flag.FlagSet) {
 	fs.Float64Var(&f.FaultRate, "fault-rate", 0, "master fault-injection rate in [0, 1): link CRC errors plus derived ECC/bank/unit fault rates (0 = faults off)")
 	fs.Int64Var(&f.FaultSeed, "fault-seed", 0, "deterministic fault pattern seed (requires a nonzero -fault-rate or -offload-deadline)")
 	fs.DurationVar(&f.Deadline, "offload-deadline", 0, "Charon offload watchdog: offloads exceeding this re-run on the host cores (0 = off)")
-	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per simulation run; also arms the engine watchdog heartbeat (0 = unbounded)")
+	fs.DurationVar(&f.RunTimeout, "run-timeout", 0, "wall-clock budget per simulation run; also arms the replay watchdog heartbeat (0 = unbounded)")
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "persist each completed replay unit here; re-running after an interruption resumes, executing only the missing units (incompatible with -metrics/-trace)")
-	fs.IntVar(&f.WatchdogStalls, "watchdog-stalls", 0, "engine watchdog: consecutive zero-advance steps before a run is declared wedged (0 = default, -1 = disable)")
-	fs.IntVar(&f.WatchdogQueue, "watchdog-queue", 0, "engine watchdog: event-queue depth bound (0 = default, -1 = disable)")
+	fs.IntVar(&f.WatchdogStalls, "watchdog-stalls", 0, "replay watchdog: consecutive zero-advance scheduler steps before a run is declared wedged (0 = default, -1 = disable)")
+	fs.IntVar(&f.WatchdogQueue, "watchdog-queue", 0, "accepted for compatibility; no effect (replay has no event queue)")
 }
 
 // Config maps the parsed flags onto a charonsim.Config. The -workloads

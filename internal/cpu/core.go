@@ -123,7 +123,7 @@ func (s Stats) IPC(clock sim.Time) float64 {
 
 // Core is one host core with a private L1/L2 (and a shared L3 owned by the
 // containing Host). Cores are driven by reservation: ExecOps may run ahead
-// of the engine clock; the exec layer interleaves threads at primitive
+// of other threads' clocks; the exec layer interleaves threads at primitive
 // granularity to keep contention realistic.
 type Core struct {
 	cfg  Config
@@ -294,14 +294,14 @@ func (c *Core) ExecBatch(start sim.Time, ops []Op, depBase int) sim.Time {
 						// MSHR), so the demand load sees at most the
 						// residual latency. Bandwidth is still charged.
 						c.Stats.Prefetches++
-						c.Stats.Mem.Record(&memsys.Request{Kind: kind, Size: 64})
+						c.Stats.Mem.Record(kind, 64)
 						memDone := c.mem.AccessAt(ready, kind, a, 64)
 						d = ready + r.Latency
 						if memDone > c.cfg.PrefetchLead && memDone-c.cfg.PrefetchLead > d {
 							d = memDone - c.cfg.PrefetchLead
 						}
 					} else {
-						c.Stats.Mem.Record(&memsys.Request{Kind: kind, Size: 64})
+						c.Stats.Mem.Record(kind, 64)
 						d = c.mshrReserve(ready+r.Latency, func(st sim.Time) sim.Time {
 							return c.mem.AccessAt(st, kind, a, 64)
 						})
@@ -313,7 +313,7 @@ func (c *Core) ExecBatch(start sim.Time, ops []Op, depBase int) sim.Time {
 				// Dirty victims write back asynchronously (no stall), but
 				// the traffic is charged to the memory system.
 				for _, wb := range r.Writebacks {
-					c.Stats.Mem.Record(&memsys.Request{Kind: memsys.Write, Size: 64})
+					c.Stats.Mem.Record(memsys.Write, 64)
 					c.mem.AccessAt(d, memsys.Write, wb, 64)
 				}
 				if d > done {
@@ -350,7 +350,7 @@ func (c *Core) FlushCaches(t sim.Time) sim.Time {
 	for _, level := range c.hier.Levels {
 		c.dirty = level.AppendDirtyLines(c.dirty[:0])
 		for _, addr := range c.dirty {
-			c.Stats.Mem.Record(&memsys.Request{Kind: memsys.Write, Size: 64})
+			c.Stats.Mem.Record(memsys.Write, 64)
 			if d := c.mem.AccessAt(t, memsys.Write, addr, 64); d > last {
 				last = d
 			}

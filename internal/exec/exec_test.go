@@ -233,7 +233,7 @@ func TestThreadPartitionCoversAllInvocations(t *testing.T) {
 	evs, env := record(t, 4<<20)
 	ev := evs[0]
 	seen := 0
-	runThreads(0, ev, 3, nil, nil, func(thread int, inv *gc.Invocation) stepper {
+	runThreads(0, ev, 3, nil, func(thread int, inv *gc.Invocation) stepper {
 		return oneShot(func(tm sim.Time) sim.Time {
 			seen++
 			return tm + 1

@@ -39,8 +39,8 @@ func TestDiagHostHMCvsDDR4(t *testing.T) {
 		fmt.Printf("%-18s cores=%d  time=%8.1f us\n", name, ncores, last.Seconds()*1e6)
 		return last
 	}
-	ddr := func() cpu.MemBackend { return dram.NewDDR4(sim.NewEngine()) }
-	hmcB := func() cpu.MemBackend { return hostHMCBackend{hmc.NewSystem(sim.NewEngine(), 22)} }
+	ddr := func() cpu.MemBackend { return dram.NewDDR4() }
+	hmcB := func() cpu.MemBackend { return hostHMCBackend{hmc.NewSystem(22)} }
 
 	seq := mkOps(20000, 64, false)
 	rnd := mkOps(5000, 4096+64, false)

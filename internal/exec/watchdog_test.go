@@ -3,8 +3,10 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"charonsim/internal/gc"
 	"charonsim/internal/sim"
@@ -34,7 +36,7 @@ func TestRunThreadsStallGuard(t *testing.T) {
 	evs, _ := record(t, 4<<20)
 	mon := sim.NewMonitor(sim.Watchdog{StallLimit: 64})
 	err := recoverAbort(func() {
-		runThreads(0, evs[0], 2, mon, nil, func(thread int, inv *gc.Invocation) stepper {
+		runThreads(0, evs[0], 2, mon, func(thread int, inv *gc.Invocation) stepper {
 			return stepFunc(func(_ int, tm sim.Time) stepResult {
 				return stepResult{t: tm} // no advance, never done
 			})
@@ -56,6 +58,61 @@ func TestRunThreadsStallGuard(t *testing.T) {
 	if np.Diag.StallSteps <= 64 {
 		t.Fatalf("dump reports %d stalled steps, want > limit", np.Diag.StallSteps)
 	}
+}
+
+// replayDumpAt checks that a watchdog abort's dump says where replay was
+// stuck: the simulated time the GC event began at and its replay index.
+func replayDumpAt(t *testing.T, err error, wantNow sim.Time, index int) {
+	t.Helper()
+	var np *sim.NoProgressError
+	if !errors.As(err, &np) {
+		t.Fatalf("abort %v carries no NoProgressError", err)
+	}
+	if np.Diag.Now == 0 || np.Diag.Now != wantNow {
+		t.Fatalf("dump simulated time %d ps, want the event's start clock %d ps", np.Diag.Now, wantNow)
+	}
+	if want := fmt.Sprintf("GC event %d ", index); !strings.Contains(np.Diag.Detail, want) {
+		t.Fatalf("dump does not name %q:\n%s", want, np.Diag.Detail)
+	}
+}
+
+// TestStallDumpNamesReplayPosition wedges the second GC event a DDR4
+// platform replays, once on the platform's own scheduler and once through
+// Replay itself (there tripped by an expired wall-clock budget, since a
+// healthy stepper never stalls). Both dumps must carry the clock the
+// second event started at — the first event's duration plus the inter-GC
+// gap — and name event 1.
+func TestStallDumpNamesReplayPosition(t *testing.T) {
+	evs, env := record(t, 4<<20)
+	if len(evs) < 2 {
+		t.Fatalf("recording has %d GC events, want >= 2", len(evs))
+	}
+	p, err := NewWithOptions(KindDDR4, env, 2, Options{Watchdog: &sim.Watchdog{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp := p.(*hostPlatform)
+	wantNow := p.Replay(evs[0], 2).Duration + sim.Microsecond
+
+	mon := sim.NewMonitor(sim.Watchdog{StallLimit: 64})
+	err = recoverAbort(func() {
+		hp.sched.run(hp.clock, hp.events, evs[1], 2, mon, func(thread int, inv *gc.Invocation) stepper {
+			return stepFunc(func(_ int, tm sim.Time) stepResult {
+				return stepResult{t: tm} // wedge: no advance, never done
+			})
+		})
+	})
+	if !errors.Is(err, sim.ErrNoProgress) {
+		t.Fatalf("wedged event aborted with %v, want ErrNoProgress", err)
+	}
+	replayDumpAt(t, err, wantNow, 1)
+
+	hp.mon = sim.NewMonitor(sim.Watchdog{WallClock: time.Nanosecond, CheckEvery: 1})
+	err = recoverAbort(func() { p.Replay(evs[1], 2) })
+	if !errors.Is(err, sim.ErrNoProgress) {
+		t.Fatalf("expired budget aborted with %v, want ErrNoProgress", err)
+	}
+	replayDumpAt(t, err, wantNow, 1)
 }
 
 // TestRunThreadsHealthyReplayNeverStalls pins the property the default-on
@@ -85,7 +142,7 @@ func TestWatchdogAbortThenSchedulerReuse(t *testing.T) {
 	mon := sim.NewMonitor(sim.Watchdog{StallLimit: 64})
 	var sched replaySched
 	err := recoverAbort(func() {
-		sched.run(0, ev, 2, mon, nil, func(thread int, inv *gc.Invocation) stepper {
+		sched.run(0, 0, ev, 2, mon, func(thread int, inv *gc.Invocation) stepper {
 			return stepFunc(func(_ int, tm sim.Time) stepResult {
 				return stepResult{t: tm} // wedge: no advance, never done
 			})
@@ -95,7 +152,7 @@ func TestWatchdogAbortThenSchedulerReuse(t *testing.T) {
 		t.Fatalf("wedged run aborted with %v, want ErrNoProgress", err)
 	}
 	seen := 0
-	end, _ := sched.run(0, ev, 2, nil, nil, func(thread int, inv *gc.Invocation) stepper {
+	end, _ := sched.run(0, 0, ev, 2, nil, func(thread int, inv *gc.Invocation) stepper {
 		return oneShot(func(tm sim.Time) sim.Time {
 			seen++
 			return tm + 1

@@ -193,7 +193,7 @@ func TestWatchdogAbortConvertsToError(t *testing.T) {
 }
 
 // TestWatchdogWallClockAbortsReplay: the session's RunTimeout arms the
-// engine watchdog heartbeat inside each run, so a wall-clock overrun on a
+// replay watchdog heartbeat inside each run, so a wall-clock overrun on a
 // real replay aborts with a structured error (either the heartbeat's
 // ErrNoProgress or the pool timer's timeout, whichever fires first —
 // both are errors, never hangs).

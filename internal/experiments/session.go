@@ -57,7 +57,7 @@ type Config struct {
 	// RunTimeout, when positive, bounds each simulation unit's wall-clock
 	// time in the worker pool; a run exceeding it fails with a timeout
 	// error instead of hanging the sweep. Zero disables the budget. The
-	// same budget arms the engine watchdog's wall-clock heartbeat, which
+	// same budget arms the replay watchdog's wall-clock heartbeat, which
 	// — unlike the pool's timer — stops the wedged goroutine itself.
 	RunTimeout time.Duration
 	// Ctx, when non-nil, cancels the session's work: the worker pool stops
@@ -74,14 +74,11 @@ type Config struct {
 	// replays would not feed the component counters, silently skewing the
 	// snapshot (the public Config.Validate rejects the combination).
 	Checkpoint *checkpoint.Store
-	// WatchdogStalls bounds consecutive engine/scheduler steps without
+	// WatchdogStalls bounds consecutive replay-scheduler steps without
 	// simulated-time advance before a run is declared wedged and aborted
 	// with sim.ErrNoProgress plus a diagnostic dump. 0 selects
 	// sim.DefaultStallLimit; negative disables the check.
 	WatchdogStalls int
-	// WatchdogQueue bounds the event-queue depth the same way. 0 selects
-	// sim.DefaultQueueLimit; negative disables the check.
-	WatchdogQueue int
 }
 
 func (c Config) withDefaults() Config {
@@ -107,7 +104,7 @@ func (c Config) withDefaults() Config {
 }
 
 // watchdog resolves the session's progress-monitor configuration for one
-// run unit: the stall/queue knobs, the per-run wall-clock heartbeat, and
+// run unit: the stall budget, the per-run wall-clock heartbeat, and
 // the cancellation context.
 func (c Config) watchdog() sim.Watchdog {
 	wd := sim.DefaultWatchdog()
@@ -116,12 +113,6 @@ func (c Config) watchdog() sim.Watchdog {
 		wd.StallLimit = uint64(c.WatchdogStalls)
 	case c.WatchdogStalls < 0:
 		wd.StallLimit = 0
-	}
-	switch {
-	case c.WatchdogQueue > 0:
-		wd.QueueLimit = c.WatchdogQueue
-	case c.WatchdogQueue < 0:
-		wd.QueueLimit = 0
 	}
 	wd.WallClock = c.RunTimeout
 	wd.Ctx = c.Ctx
@@ -374,7 +365,7 @@ func (s *Session) own(u unit, key string) (replayed, error) {
 }
 
 // simulate plays u's GC log on a fresh platform wired with the session's
-// trace recorder, cancellation context and engine watchdog, and publishes
+// trace recorder, cancellation context and replay watchdog, and publishes
 // the platform's component counters into reg (nil: none). It is the one
 // place experiments build a platform. Each call counts as one simulated
 // unit in Replays. An unknown kind is returned as an error.

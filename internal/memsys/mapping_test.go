@@ -178,9 +178,9 @@ func TestAlignHelpers(t *testing.T) {
 
 func TestStatsRecording(t *testing.T) {
 	var s Stats
-	s.Record(&Request{Kind: Read, Size: 64})
-	s.Record(&Request{Kind: Write, Size: 256})
-	s.Record(&Request{Kind: Read, Size: 32})
+	s.Record(Read, 64)
+	s.Record(Write, 256)
+	s.Record(Read, 32)
 	if s.Reads != 2 || s.Writes != 1 {
 		t.Fatalf("counts %d/%d", s.Reads, s.Writes)
 	}
@@ -206,15 +206,6 @@ func TestStatsRecording(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if Read.String() != "read" || Write.String() != "write" {
 		t.Fatal("Kind.String")
-	}
-}
-
-func TestPortFunc(t *testing.T) {
-	called := false
-	var p Port = PortFunc(func(r *Request) { called = true })
-	p.Submit(&Request{})
-	if !called {
-		t.Fatal("PortFunc did not dispatch")
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package memsys defines the types shared by all memory-system components:
-// memory requests, the port interface components expose, and the physical
-// address mappings (interleavings) used by the DDR4 and HMC main-memory
-// systems from Table 2 of the paper.
+// access kinds, traffic counters, and the physical address mappings
+// (interleavings) used by the DDR4 and HMC main-memory systems from Table 2
+// of the paper.
 //
-// The simulator is timing-only at this layer: requests carry no data.
+// The simulator is timing-only at this layer: accesses carry no data.
 // Functional data lives in the heap arena (internal/heap); the collector
 // mutates it eagerly and separately replays the access pattern through
 // these timing models.
@@ -29,36 +29,6 @@ func (k Kind) String() string {
 	return "write"
 }
 
-// Request is a single timing-level memory access. Size may span several
-// DRAM bursts (the HMC supports up to 256 B per request; the Charon
-// Copy/Search unit always uses that maximum granularity).
-type Request struct {
-	Kind Kind
-	Addr uint64
-	Size uint32
-
-	// OnDone is invoked exactly once when the access completes (data
-	// returned for reads, write committed for writes). May be nil.
-	OnDone func()
-
-	// IssuedAt is stamped by the component that first accepts the request.
-	IssuedAt sim.Time
-}
-
-// Port is anything that accepts memory requests: a cache, a DRAM channel
-// controller, an HMC cube, or the full memory system. Submit never rejects;
-// finite buffering is modelled as queueing delay, and requester-side limits
-// (CPU MSHRs, Charon's MAI entries) bound the number of requests in flight.
-type Port interface {
-	Submit(r *Request)
-}
-
-// PortFunc adapts a function to the Port interface.
-type PortFunc func(r *Request)
-
-// Submit implements Port.
-func (f PortFunc) Submit(r *Request) { f(r) }
-
 // Stats accumulates traffic counters for bandwidth accounting (Figure 13).
 type Stats struct {
 	Reads      uint64
@@ -67,14 +37,14 @@ type Stats struct {
 	WriteBytes uint64
 }
 
-// Record adds one request to the counters.
-func (s *Stats) Record(r *Request) {
-	if r.Kind == Read {
+// Record adds one access of size bytes to the counters.
+func (s *Stats) Record(kind Kind, size uint32) {
+	if kind == Read {
 		s.Reads++
-		s.ReadBytes += uint64(r.Size)
+		s.ReadBytes += uint64(size)
 	} else {
 		s.Writes++
-		s.WriteBytes += uint64(r.Size)
+		s.WriteBytes += uint64(size)
 	}
 }
 

@@ -38,7 +38,9 @@ type JobSpec struct {
 	OffloadDeadln  string   `json:"offload_deadline,omitempty"`
 	RunTimeout     string   `json:"run_timeout,omitempty"`
 	WatchdogStalls int      `json:"watchdog_stalls,omitempty"`
-	WatchdogQueue  int      `json:"watchdog_queue,omitempty"`
+	// WatchdogQueue is validated and keyed but has no effect: replay has
+	// no event queue (see charonsim.Config.WatchdogQueue).
+	WatchdogQueue int `json:"watchdog_queue,omitempty"`
 }
 
 // Resolve validates the spec and returns the charonsim.Config it maps to

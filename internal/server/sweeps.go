@@ -59,7 +59,9 @@ type SweepSpec struct {
 	OffloadDeadln  string  `json:"offload_deadline,omitempty"`
 	RunTimeout     string  `json:"run_timeout,omitempty"`
 	WatchdogStalls int     `json:"watchdog_stalls,omitempty"`
-	WatchdogQueue  int     `json:"watchdog_queue,omitempty"`
+	// WatchdogQueue is validated and keyed but has no effect: replay has
+	// no event queue (see charonsim.Config.WatchdogQueue).
+	WatchdogQueue int `json:"watchdog_queue,omitempty"`
 }
 
 // gridPoint is one point of a submission's grid: the job descriptor plus

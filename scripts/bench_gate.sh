@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark-regression gate.
 #
-# Runs the per-subsystem benchmark suite (calendar, engine, DRAM, HMC,
+# Runs the per-subsystem benchmark suite (calendar, DRAM, HMC,
 # cache, Charon offload) plus — in the full set — the end-to-end
 # BenchmarkRunAll, compares against the committed bench_baseline.txt,
 # writes BENCH.json, and fails on >10% geometric-mean ns/op regression.
@@ -29,7 +29,7 @@ run() { # run <package> <bench regexp> [extra go test flags...]
 }
 
 echo "== benchmark suite ($([ "${BENCH_SET:-full}" = short ] && echo short || echo full) set) =="
-run ./internal/sim '^(BenchmarkCalendarReserve|BenchmarkCalendarBusyWithin|BenchmarkEngineSchedulePop|BenchmarkEngineScheduleRun)$'
+run ./internal/sim '^(BenchmarkCalendarReserve|BenchmarkCalendarBusyWithin)$'
 run ./internal/dram '^(BenchmarkDDR4AccessAt|BenchmarkControllerAccess)$'
 run ./internal/hmc '^(BenchmarkHostAccess|BenchmarkNearAccess)$'
 run ./internal/cache '^BenchmarkCacheAccess$'
