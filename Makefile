@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test perfbench-test short race golden bench bench-gate bench-baseline parbench audit faults fuzz resume-smoke serve-smoke chaos-smoke netchaos-smoke sweep-smoke lint ci
+.PHONY: build vet test perfbench-test short race golden bench bench-gate bench-baseline parbench audit faults fuzz resume-smoke serve-smoke netchaos-smoke sweep-smoke lint ci
 
 build:
 	$(GO) build ./...
@@ -77,13 +77,6 @@ resume-smoke:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Chaos smoke: kill -9 charond mid-job, restart over the same cache
-# directory, and assert the journal replays the job to a byte-identical
-# result with no completed unit re-executed (see the script). Needs
-# curl + jq.
-chaos-smoke:
-	./scripts/chaos_smoke.sh
-
 # Network-chaos smoke: put the seeded netfault proxy between charonctl
 # and charond, drive submit → poll → result through injected resets,
 # blackholes, latency, truncations and slowloris reads, and assert the
@@ -122,4 +115,4 @@ lint: vet
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)" ; \
 	fi
 
-ci: lint build test perfbench-test race audit faults resume-smoke serve-smoke chaos-smoke netchaos-smoke sweep-smoke
+ci: lint build test perfbench-test race audit faults resume-smoke serve-smoke netchaos-smoke sweep-smoke

@@ -125,8 +125,10 @@ type Config struct {
 	// truncated or version-mismatched entries are detected and discarded.
 	// The key includes the fault and parallelism knobs, so changing any
 	// Config field that could affect results invalidates the cache
-	// naturally. Incompatible with MetricsPath/TracePath: a cached replay
-	// executes no simulation and would silently skew their counters.
+	// naturally. Each entry also carries the unit's component counters, so
+	// a MetricsPath snapshot is byte-identical whether its units were
+	// simulated or read back. Incompatible with TracePath: a trace needs
+	// every unit simulated live, so the directory would be ignored.
 	CheckpointDir string
 	// WatchdogStalls overrides the replay watchdog's stall budget — the
 	// number of consecutive replay-scheduler steps without simulated time
@@ -160,8 +162,8 @@ func (c Config) faultConfig() fault.Config {
 // parallelism below the documented -1 serial sentinel, unknown workload
 // names, out-of-range fault rates, a fault seed with no fault to apply it
 // to, negative deadlines/timeouts, a trace request without a metrics
-// snapshot to accompany it, and a trace path with a ".csv" extension (the
-// trace format is JSON only).
+// snapshot to accompany it, a trace path with a ".csv" extension (the
+// trace format is JSON only), and a trace with a checkpoint directory.
 func (c Config) Validate() error {
 	if c.Threads < 0 {
 		return fmt.Errorf("charonsim: Threads must be >= 0 (0 selects the default), got %d", c.Threads)
@@ -205,8 +207,8 @@ func (c Config) Validate() error {
 	if c.WatchdogQueue < -1 {
 		return fmt.Errorf("charonsim: WatchdogQueue must be >= -1 (-1 disables, 0 = default), got %d", c.WatchdogQueue)
 	}
-	if c.CheckpointDir != "" && (c.MetricsPath != "" || c.TracePath != "") {
-		return fmt.Errorf("charonsim: CheckpointDir is incompatible with MetricsPath/TracePath (a cached replay executes no simulation, so the metrics and trace would silently undercount)")
+	if c.CheckpointDir != "" && c.TracePath != "" {
+		return fmt.Errorf("charonsim: CheckpointDir is incompatible with TracePath (a trace needs every unit simulated live, so the checkpoint directory would be silently ignored)")
 	}
 	if err := c.faultConfig().Validate(); err != nil {
 		// The injector's own checks catch what the public knobs can still
@@ -231,7 +233,8 @@ func (c Config) observability() (*metrics.Registry, *metrics.Recorder) {
 }
 
 // sessionFor validates cfg and builds the session plus its observability
-// sinks and (when configured) its checkpoint store.
+// sinks and its checkpoint store: the one ctx carries (charond's shared
+// per-unit store), or CheckpointDir's when that is set.
 func sessionFor(ctx context.Context, cfg Config) (*experiments.Session, *metrics.Registry, *metrics.Recorder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, nil, err
@@ -241,6 +244,7 @@ func sessionFor(ctx context.Context, cfg Config) (*experiments.Session, *metrics
 	icfg.Ctx = ctx
 	icfg.Metrics = reg
 	icfg.Trace = rec
+	icfg.Checkpoint = checkpoint.FromContext(ctx)
 	if cfg.CheckpointDir != "" {
 		st, err := checkpoint.Open(cfg.CheckpointDir)
 		if err != nil {

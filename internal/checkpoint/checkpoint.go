@@ -17,6 +17,7 @@
 package checkpoint
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -70,6 +71,26 @@ func OpenFS(dir string, fsys atomicio.FS) (*Store, error) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return &Store{dir: dir, fsys: fsys}, nil
+}
+
+// ctxKey keys the store a context carries.
+type ctxKey struct{}
+
+// NewContext returns a copy of ctx that carries st, so a process that
+// holds one open store (charond's per-unit store) hands that handle to
+// every session it starts instead of each session reopening the
+// directory — and the handle's hit and miss counters see every job.
+func NewContext(ctx context.Context, st *Store) context.Context {
+	return context.WithValue(ctx, ctxKey{}, st)
+}
+
+// FromContext returns the store ctx carries, or nil.
+func FromContext(ctx context.Context) *Store {
+	if ctx == nil {
+		return nil
+	}
+	st, _ := ctx.Value(ctxKey{}).(*Store)
+	return st
 }
 
 // Dir returns the backing directory.

@@ -60,12 +60,22 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-func TestCheckpointRejectsObservability(t *testing.T) {
+// TestCheckpointDirWithMetrics: checkpoint entries carry their units'
+// counters, so -checkpoint-dir runs with -metrics; a trace needs every
+// unit simulated live, so adding -trace is still a configuration error.
+func TestCheckpointDirWithMetrics(t *testing.T) {
+	dir := t.TempDir()
 	var out, errb bytes.Buffer
-	code := Run([]string{"-exp", "table4", "-checkpoint-dir", t.TempDir(),
-		"-metrics", filepath.Join(t.TempDir(), "m.json")}, &out, &errb)
-	if code != 2 {
-		t.Fatalf("checkpoint+metrics exited %d, want 2", code)
+	args := []string{"-exp", "table4", "-checkpoint-dir", t.TempDir(),
+		"-metrics", filepath.Join(dir, "m.json")}
+	if code := Run(args, &out, &errb); code != 0 {
+		t.Fatalf("checkpoint+metrics exited %d, want 0 (stderr: %s)", code, errb.String())
+	}
+	out.Reset()
+	errb.Reset()
+	args = append(args, "-trace", filepath.Join(dir, "t.json"))
+	if code := Run(args, &out, &errb); code != 2 {
+		t.Fatalf("checkpoint+metrics+trace exited %d, want 2", code)
 	}
 }
 
@@ -114,23 +124,26 @@ func reportText(s string) string {
 }
 
 // TestSigintResumesByteIdentical is the end-to-end crash-safety test:
-// run a sweep in a subprocess with checkpointing on, SIGINT it once the
-// first checkpoint entry lands, and assert (1) the clean partial exit
-// code, (2) an uncorrupted checkpoint directory, and (3) that resuming
-// from it produces output byte-identical to an uninterrupted run.
+// run a sweep in a subprocess with checkpointing and a metrics snapshot
+// on, SIGINT it once the first checkpoint entry lands, and assert (1) the
+// clean partial exit code, (2) an uncorrupted checkpoint directory, and
+// (3) that resuming from it produces output and a metrics snapshot
+// byte-identical to an uninterrupted run's.
 func TestSigintResumesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep is slow")
 	}
-	ckptDir := t.TempDir()
+	ckptDir, metricsDir := t.TempDir(), t.TempDir()
 	// Serial on purpose: dispatch stops at the first ctx check, so an
 	// early signal is guaranteed to leave undone work behind to resume.
-	args := []string{"-exp", "fig2", "-workloads", "BS", "-parallel", "1",
-		"-checkpoint-dir", ckptDir}
+	args := func(ckpt, metrics string) []string {
+		return []string{"-exp", "fig2", "-workloads", "BS", "-parallel", "1",
+			"-checkpoint-dir", ckpt, "-metrics", filepath.Join(metricsDir, metrics)}
+	}
 
 	cmd := exec.Command(os.Args[0], "-test.run=TestHelperProcess$")
 	cmd.Env = append(os.Environ(), "CHARONSIM_CLI_HELPER=1",
-		"CHARONSIM_CLI_ARGS="+strings.Join(args, "\x1f"))
+		"CHARONSIM_CLI_ARGS="+strings.Join(args(ckptDir, "interrupted.json"), "\x1f"))
 	var sub bytes.Buffer
 	cmd.Stdout = &sub
 	cmd.Stderr = &sub
@@ -180,18 +193,27 @@ func TestSigintResumesByteIdentical(t *testing.T) {
 
 	// Resume in-process over the same directory: must finish cleanly...
 	var resumed, errb bytes.Buffer
-	if code := Run(args, &resumed, &errb); code != 0 {
+	if code := Run(args(ckptDir, "resumed.json"), &resumed, &errb); code != 0 {
 		t.Fatalf("resume exited %d: %s", code, errb.String())
 	}
 	// ...and match an uninterrupted run byte for byte.
 	golden := bytes.Buffer{}
-	goldenArgs := []string{"-exp", "fig2", "-workloads", "BS", "-parallel", "1",
-		"-checkpoint-dir", t.TempDir()}
-	if code := Run(goldenArgs, &golden, &errb); code != 0 {
+	if code := Run(args(t.TempDir(), "golden.json"), &golden, &errb); code != 0 {
 		t.Fatalf("golden run exited %d: %s", code, errb.String())
 	}
 	if got, want := reportText(resumed.String()), reportText(golden.String()); got != want {
 		t.Fatalf("resumed output diverged from uninterrupted run:\n--- resumed ---\n%s\n--- golden ---\n%s", got, want)
+	}
+	gotM, err := os.ReadFile(filepath.Join(metricsDir, "resumed.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantM, err := os.ReadFile(filepath.Join(metricsDir, "golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotM, wantM) {
+		t.Fatalf("resumed metrics snapshot diverged from uninterrupted run:\n--- resumed ---\n%s\n--- golden ---\n%s", gotM, wantM)
 	}
 }
 

@@ -9,21 +9,11 @@ import (
 	"charonsim/internal/fault"
 )
 
-// resultSchema versions the serialized []exec.Result payload; bump it
-// whenever exec.Result (or anything feeding it) changes shape or timing
-// semantics, so stale sweeps re-execute instead of replaying old numbers.
-const resultSchema = 1
-
-// checkpointStore returns the session's store, or nil when checkpointing
-// is disabled or observability is active: a replay served from cache
-// executes no simulation, so it would contribute nothing to the metrics
-// registry or trace recorder and silently skew their output.
-func (s *Session) checkpointStore() *checkpoint.Store {
-	if s.cfg.Checkpoint == nil || s.cfg.Metrics.Enabled() || s.cfg.Trace != nil {
-		return nil
-	}
-	return s.cfg.Checkpoint
-}
+// resultSchema versions the serialized replayed record (results plus
+// counters); bump it whenever exec.Result, the counters, or anything
+// feeding them changes shape or timing semantics, so stale sweeps
+// re-execute instead of replaying old numbers.
+const resultSchema = 2
 
 // runKey canonicalizes the fully-resolved configuration of one replay
 // unit. Everything that can change the result is in the key — recording
@@ -60,26 +50,27 @@ func faultKey(fc fault.Config) string {
 		fc.UnitDegradeRate, fc.DegradeFactor, fc.FailAllUnits, uint64(fc.OffloadDeadline))
 }
 
-// getCachedResults decodes a stored replay. Decode failures are treated
-// as a miss (the entry is deleted so it gets rebuilt) — the store's
-// checksum makes them near-impossible, but a miss is always safe.
-func getCachedResults(st *checkpoint.Store, key string) ([]exec.Result, bool) {
+// getCached decodes a stored replay record. A payload that does not
+// decode is a miss: the unit simulates again and its Put overwrites the
+// entry. The store's checksum makes that near-impossible, but a miss is
+// always safe.
+func getCached(st *checkpoint.Store, key string) (replayed, bool) {
 	payload, ok := st.Get(key)
 	if !ok {
-		return nil, false
+		return replayed{}, false
 	}
-	var out []exec.Result
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, false
+	var rep replayed
+	if err := json.Unmarshal(payload, &rep); err != nil {
+		return replayed{}, false
 	}
-	return out, true
+	return rep, true
 }
 
-// putCachedResults persists one completed replay. Errors are swallowed by
+// putCached persists one completed replay record. Errors are swallowed by
 // design (counted in the store's stats): checkpointing must never fail a
 // sweep that would otherwise succeed.
-func putCachedResults(st *checkpoint.Store, key string, results []exec.Result) {
-	payload, err := json.Marshal(results)
+func putCached(st *checkpoint.Store, key string, rep replayed) {
+	payload, err := json.Marshal(rep)
 	if err != nil {
 		return
 	}

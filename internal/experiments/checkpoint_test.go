@@ -12,7 +12,6 @@ import (
 	"charonsim/internal/exec"
 	"charonsim/internal/fault"
 	"charonsim/internal/hmc"
-	"charonsim/internal/metrics"
 	"charonsim/internal/sim"
 )
 
@@ -126,24 +125,6 @@ func TestCheckpointKeySeparatesConfigurations(t *testing.T) {
 		if key := charonAt(hw); key != base {
 			t.Fatalf("%s: key %s, want the plain Charon key %s", label, key, base)
 		}
-	}
-}
-
-// TestCheckpointDisabledWithObservability: a session carrying a metrics
-// registry or trace recorder must bypass the store entirely — cached
-// replays execute no simulation and would skew the counters.
-func TestCheckpointDisabledWithObservability(t *testing.T) {
-	st := newStore(t)
-	for _, cfg := range []Config{
-		{Checkpoint: st, Metrics: metrics.NewRegistry()},
-		{Checkpoint: st, Trace: metrics.NewRecorder(0)},
-	} {
-		if got := NewSession(cfg).checkpointStore(); got != nil {
-			t.Fatalf("checkpointStore() with observability enabled = %v, want nil", got)
-		}
-	}
-	if NewSession(Config{Checkpoint: st}).checkpointStore() != st {
-		t.Fatal("checkpointStore() without observability should return the store")
 	}
 }
 

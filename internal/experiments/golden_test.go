@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"charonsim/internal/checkpoint"
 	"charonsim/internal/exec"
 	"charonsim/internal/gc"
 	"charonsim/internal/metrics"
@@ -223,37 +224,98 @@ func TestGoldenRenders(t *testing.T) {
 }
 
 // TestGoldenReplayMetrics pins the metrics snapshot of Figure 12 followed
-// by Figure 4(a) on BS in one session. Figure 4(a)'s DDR4 replay repeats
-// one of Figure 12's, so the snapshot also shows that a repeated replay
-// counts the simulation it stands for, whether or not it re-simulates.
+// by Figure 4(a) on BS in one session, and requires every tier a replay
+// can come from to produce it byte for byte. Figure 4(a)'s DDR4 replay
+// repeats one of Figure 12's, so the snapshot also shows that a memo hit
+// counts the simulation it stands for; the checkpoint rows show the same
+// for a unit read back from disk.
+//
+// The rows run in order and share one checkpoint directory per
+// parallelism level: a cold row fills it, the warm row after it reads it
+// in a fresh session and must simulate nothing, and the half-warm row
+// deletes every other entry first, so it mixes read-back and live units.
 // The golden file is the snapshot of the harness that simulated every
 // replay; regenerate with -update only after an intentional model change.
 func TestGoldenReplayMetrics(t *testing.T) {
 	skipIfShort(t)
-	reg := metrics.NewRegistry()
-	s := NewSession(Config{Workloads: []string{"BS"}, Metrics: reg})
-	if _, err := Fig12(s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Fig4(s, gc.Minor); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := reg.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join("testdata", "golden", "metrics_fig12_fig4a_BS.json")
-	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
 	want, err := os.ReadFile(path)
-	if err != nil {
+	if err != nil && !*update {
 		t.Fatalf("missing golden file (regenerate with `go test ./internal/experiments -run Golden -update`): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("metrics snapshot differs from %s", path)
+	const (
+		none = iota // no checkpoint store
+		cold        // an empty store
+		warm        // the store the cold row filled
+		half        // that store with every other entry deleted
+	)
+	dirs := map[int]string{1: t.TempDir(), 8: t.TempDir()}
+	rows := []struct {
+		name  string
+		par   int // 0 selects the default
+		store int
+	}{
+		{"no-store", 0, none},
+		{"cold/par1", 1, cold},
+		{"warm/par1", 1, warm},
+		{"cold/par8", 8, cold},
+		{"warm/par8", 8, warm},
+		{"half-warm/par8", 8, half},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := Config{Workloads: []string{"BS"}, Parallelism: row.par, Metrics: metrics.NewRegistry()}
+			deleted := 0
+			if row.store != none {
+				dir := dirs[row.par]
+				if row.store == half {
+					ents, err := filepath.Glob(filepath.Join(dir, "*.ckpt.json"))
+					if err != nil || len(ents) < 2 {
+						t.Fatalf("the cold row left %d entries (err %v)", len(ents), err)
+					}
+					for i := 0; i < len(ents); i += 2 {
+						if err := os.Remove(ents[i]); err != nil {
+							t.Fatal(err)
+						}
+						deleted++
+					}
+				}
+				st, err := checkpoint.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Checkpoint = st
+			}
+			s := NewSession(cfg)
+			if _, err := Fig12(s); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Fig4(s, gc.Minor); err != nil {
+				t.Fatal(err)
+			}
+			switch n := s.Replays(); {
+			case row.store == warm && n != 0:
+				t.Fatalf("warm store: simulated %d units, want 0", n)
+			case row.store == half && n != deleted:
+				t.Fatalf("half-warm store: simulated %d units, want the %d deleted", n, deleted)
+			case (row.store == none || row.store == cold) && n == 0:
+				t.Fatal("simulated nothing")
+			}
+			var buf bytes.Buffer
+			if err := cfg.Metrics.Snapshot().WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if *update {
+				if row.store == none {
+					if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("metrics snapshot differs from %s", path)
+			}
+		})
 	}
 }

@@ -68,11 +68,11 @@ type Config struct {
 	// Checkpoint, when non-nil, makes sweeps resumable: every replay unit
 	// is keyed by a canonical hash of its fully-resolved configuration,
 	// consulted before dispatching and persisted (atomically, with a
-	// checksum) after completing. Cached units are byte-identical to live
-	// ones, so a resumed sweep's report matches an uninterrupted run.
-	// Ignored while Metrics or Trace are enabled: served-from-cache
-	// replays would not feed the component counters, silently skewing the
-	// snapshot (the public Config.Validate rejects the combination).
+	// checksum) after completing. An entry holds the unit's results and
+	// its component counters, so a resumed sweep's report and metrics
+	// snapshot both match an uninterrupted run. Ignored while Trace is
+	// set: a trace needs every unit simulated live (the public
+	// Config.Validate rejects the combination).
 	Checkpoint *checkpoint.Store
 	// WatchdogStalls bounds consecutive replay-scheduler steps without
 	// simulated-time advance before a run is declared wedged and aborted
@@ -201,13 +201,13 @@ func singleFlight[T any](mu *sync.Mutex, m map[string]*flight[T], key string, fn
 	return f.val, f.err
 }
 
-// replayed is one replay unit's memoized outcome. unit holds the unit's
-// own component counters (nil when metrics are off); every use merges it
-// into the session registry, so a memo hit counts the simulation it
-// stands for.
+// replayed is one replay unit's record: its per-event results and its
+// own component counters. The memo and the checkpoint store hold the same
+// record, and every use merges Counters into the session registry, so a
+// memo or checkpoint hit counts the simulation it stands for.
 type replayed struct {
-	out  []exec.Result
-	unit *metrics.Registry
+	Results  []exec.Result    `json:"results"`
+	Counters metrics.Snapshot `json:"counters"`
 }
 
 // NewSession creates a session.
@@ -321,8 +321,8 @@ type unit struct {
 // sim.Aborted cause, and a later call simulates again.
 //
 // When the session has a checkpoint store, the owner consults it first:
-// a valid cached entry is returned byte-identically without simulating,
-// and a live result is persisted on completion. Store I/O failures never
+// a valid cached record is returned byte-identically without simulating,
+// and a live record is persisted on completion. Store I/O failures never
 // fail the replay — a lost Put just means that unit re-executes on the
 // next resume.
 func (s *Session) replay(u unit) ([]exec.Result, error) {
@@ -336,30 +336,26 @@ func (s *Session) replay(u unit) ([]exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.cfg.Metrics.Merge(rep.unit)
-	return rep.out, nil
+	s.cfg.Metrics.Merge(rep.Counters)
+	return rep.Results, nil
 }
 
-// own produces replay unit u on behalf of every caller of key: a
-// checkpoint hit, or else a live simulation persisted to the store.
+// own produces replay unit u's record on behalf of every caller of key:
+// a checkpoint hit, or else a live simulation, its counters collected
+// into a registry of its own, persisted to the store.
 func (s *Session) own(u unit, key string) (replayed, error) {
-	st := s.checkpointStore()
-	if st != nil {
-		if out, ok := getCachedResults(st, key); ok {
-			return replayed{out: out}, nil
-		}
+	st := s.cfg.Checkpoint
+	if rep, ok := getCached(st, key); ok {
+		return rep, nil
 	}
-	var rep replayed
-	if s.cfg.Metrics.Enabled() {
-		rep.unit = metrics.NewRegistry()
-	}
-	out, err := s.simulate(u, rep.unit)
+	reg := metrics.NewRegistry()
+	out, err := s.simulate(u, reg)
 	if err != nil {
 		return replayed{}, err
 	}
-	rep.out = out
+	rep := replayed{Results: out, Counters: reg.Snapshot()}
 	if st != nil {
-		putCachedResults(st, key, out)
+		putCached(st, key, rep)
 	}
 	return rep, nil
 }

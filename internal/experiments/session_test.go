@@ -321,9 +321,11 @@ func shortRun(t *testing.T, s *Session, n int) *Run {
 }
 
 // TestSessionConcurrentReplay: eight goroutines asking for one replay unit
-// simulate it exactly once, and every caller gets the same results.
+// simulate it exactly once, every caller gets the same results, and every
+// caller merges the unit's one counter record into the session registry.
 func TestSessionConcurrentReplay(t *testing.T) {
-	s := NewSession(Config{Workloads: []string{"BS"}})
+	reg := metrics.NewRegistry()
+	s := NewSession(Config{Workloads: []string{"BS"}, Metrics: reg, Checkpoint: newStore(t)})
 	r := shortRun(t, s, 2)
 
 	const goroutines = 8
@@ -365,6 +367,9 @@ func TestSessionConcurrentReplay(t *testing.T) {
 	}
 	if got := s.Replays(); got != 1 {
 		t.Fatalf("Replays() after a repeat = %d, want 1", got)
+	}
+	if got, want := reg.Counter("charon/gc_events"), float64((goroutines+1)*len(r.Col.Log)); got != want {
+		t.Fatalf("charon/gc_events = %v after %d calls, want %v", got, goroutines+1, want)
 	}
 }
 

@@ -127,25 +127,25 @@ func (r *Registry) Observe(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// Merge folds every metric of o into r (counters add, gauges max,
-// distributions merge). o may be nil.
-func (r *Registry) Merge(o *Registry) {
-	if r == nil || o == nil {
+// Merge folds every metric of snapshot o into r (counters add, gauges
+// max, distributions merge). A snapshot is how counters travel: a replay
+// unit's record carries one, whether it was simulated, memoized or read
+// back from a checkpoint.
+func (r *Registry) Merge(o Snapshot) {
+	if r == nil {
 		return
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k, v := range o.counters {
+	for k, v := range o.Counters {
 		r.counters[k] += v
 	}
-	for k, v := range o.gauges {
+	for k, v := range o.Gauges {
 		if cur, ok := r.gauges[k]; !ok || v > cur {
 			r.gauges[k] = v
 		}
 	}
-	for k, v := range o.dists {
+	for k, v := range o.Dists {
 		d := r.dists[k]
 		d.merge(v)
 		r.dists[k] = d

@@ -17,7 +17,7 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.AddUint("x", 1)
 	r.SetMax("g", 2)
 	r.Observe("d", 3)
-	r.Merge(NewRegistry())
+	r.Merge(NewRegistry().Snapshot())
 	if r.Enabled() {
 		t.Fatal("nil registry reports enabled")
 	}
@@ -84,7 +84,7 @@ func TestMergeCommutative(t *testing.T) {
 		parts[2].SetMax("g", 3)
 		total := NewRegistry()
 		for _, i := range order {
-			total.Merge(parts[i])
+			total.Merge(parts[i].Snapshot())
 		}
 		return total.Snapshot()
 	}

@@ -86,19 +86,50 @@ func unitFingerprints(t *testing.T, unitsDir string) map[string]string {
 	return fp
 }
 
-// TestCharondKill9Recovery is the chaos gate at the Go level (the
-// chaos-smoke script repeats it over bash + curl): kill -9 a charond
-// mid-job, restart it over the same cache directory, and assert the job
-// is replayed from the journal to a byte-identical result with every
-// pre-crash simulation unit reused untouched.
+// saveChaosArtifacts keeps a failed chaos run's post-mortem: when
+// CHAOS_ARTIFACT_DIR is set, it copies the journal directory and each
+// charond's stderr there.
+func saveChaosArtifacts(t *testing.T, cacheDir string, procs []*charondProc) {
+	dst := os.Getenv("CHAOS_ARTIFACT_DIR")
+	if !t.Failed() || dst == "" {
+		return
+	}
+	journal := filepath.Join(dst, "journal")
+	if err := os.MkdirAll(journal, 0o755); err != nil {
+		t.Logf("post-mortem: %v", err)
+		return
+	}
+	recs, _ := filepath.Glob(filepath.Join(cacheDir, "journal", "*"))
+	for _, rec := range recs {
+		if raw, err := os.ReadFile(rec); err == nil {
+			_ = os.WriteFile(filepath.Join(journal, filepath.Base(rec)), raw, 0o644)
+		}
+	}
+	for i, p := range procs {
+		_ = os.WriteFile(filepath.Join(dst, fmt.Sprintf("charond%d.err", i+1)), p.errb.Bytes(), 0o644)
+	}
+	t.Logf("post-mortem kept in %s", dst)
+}
+
+// TestCharondKill9Recovery is the chaos gate: kill -9 a charond mid-job,
+// restart it over the same cache directory, and assert the job is
+// replayed from the journal to a byte-identical result with every
+// pre-crash simulation unit reused untouched — read back through the
+// server's unit store, whose hit counter must show it. On failure, with
+// CHAOS_ARTIFACT_DIR set, the journal and charond's stderr are kept there.
 func TestCharondKill9Recovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos run is slow")
 	}
 	cacheDir := t.TempDir()
 	args := []string{"-workers", "1", "-queue", "4", "-cache-dir", cacheDir}
+	var procs []*charondProc
+	// Registered before any charond starts, so it runs after their
+	// cleanups have reaped them and their stderr is complete.
+	t.Cleanup(func() { saveChaosArtifacts(t, cacheDir, procs) })
 
 	p1 := startCharond(t, args...)
+	procs = append(procs, p1)
 	resp, err := http.Post(p1.base+"/v1/jobs", "application/json",
 		strings.NewReader(`{"experiment":"fig2","workloads":["BS"]}`))
 	if err != nil {
@@ -140,6 +171,7 @@ func TestCharondKill9Recovery(t *testing.T) {
 	// Restart over the same cache directory: the job must reappear from
 	// the journal under its original id, without any resubmission.
 	p2 := startCharond(t, args...)
+	procs = append(procs, p2)
 	r, err := http.Get(p2.base + "/v1/jobs/" + v.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -178,6 +210,27 @@ func TestCharondKill9Recovery(t *testing.T) {
 			t.Errorf("pre-crash unit %s rewritten (%s -> %s): completed work re-executed",
 				filepath.Base(name), fp, after[name])
 		}
+	}
+
+	// The restart recovered the job from the journal, and the pre-crash
+	// units came back through the server's own store handle.
+	var snap struct {
+		Counters map[string]float64 `json:"counters"`
+	}
+	r, err = http.Get(p2.base + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec = jsonDecode(r.Body, &snap)
+	r.Body.Close()
+	if dec != nil {
+		t.Fatalf("/v1/metrics decode: %v", dec)
+	}
+	if n := snap.Counters["server/journal_recovered"]; n < 1 {
+		t.Errorf("server/journal_recovered = %v, want >= 1", n)
+	}
+	if n := snap.Counters["server/unit_store/hits"]; n < float64(len(before)) {
+		t.Errorf("server/unit_store/hits = %v, want >= %d (the pre-crash units)", n, len(before))
 	}
 
 	// Byte-identity: the recovered report equals the CLI's output.

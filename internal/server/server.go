@@ -69,10 +69,10 @@ type Config struct {
 	// CacheDir, when non-empty, enables the on-disk layer: completed job
 	// reports are persisted in CacheDir/results (checkpoint-backed,
 	// checksummed, atomic) and served on identical resubmission across
-	// restarts, and jobs run with CacheDir/units as their per-unit
-	// checkpoint store so partially-completed work survives a drain.
-	// Empty keeps both caches in memory only (dedup still works within
-	// the process lifetime).
+	// restarts, and every job shares the server's one handle on
+	// CacheDir/units, the per-unit checkpoint store, so partially-completed
+	// work survives a drain. Empty keeps results in memory only (dedup
+	// still works within the process lifetime), and jobs share no units.
 	CacheDir string
 	// JobTimeout, when positive, is the default per-unit RunTimeout
 	// applied to jobs that do not set run_timeout themselves. It reuses
@@ -142,12 +142,11 @@ func (c Config) withDefaults() Config {
 // Server is the charond job service. Create with New, serve Handler(),
 // stop with Drain.
 type Server struct {
-	cfg      Config
-	log      *slog.Logger
-	reg      *metrics.Registry
-	results  *checkpoint.Store // response cache; nil without CacheDir
-	units    *checkpoint.Store // handle on the per-unit store, for metrics
-	unitsDir string            // per-unit checkpoint store for jobs; "" without CacheDir
+	cfg     Config
+	log     *slog.Logger
+	reg     *metrics.Registry
+	results *checkpoint.Store // response cache; nil without CacheDir
+	units   *checkpoint.Store // per-unit store every job shares; nil without CacheDir
 
 	journal       *journal  // write-ahead job log; nil without CacheDir
 	cacheHealth   *degrader // result-cache degraded-mode tracker
@@ -273,8 +272,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: result cache: %w", err)
 		}
 		s.results = st
-		s.unitsDir = filepath.Join(cfg.CacheDir, "units")
-		if s.units, err = checkpoint.Open(s.unitsDir); err != nil {
+		if s.units, err = checkpoint.Open(filepath.Join(cfg.CacheDir, "units")); err != nil {
 			return nil, fmt.Errorf("server: unit store: %w", err)
 		}
 		if s.journal, err = openJournal(filepath.Join(cfg.CacheDir, "journal"), cfg.fsys, s.journalHealth); err != nil {
@@ -985,7 +983,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) snapshotMetrics() metrics.Snapshot {
 	reg := metrics.NewRegistry()
-	reg.Merge(s.reg)
+	reg.Merge(s.reg.Snapshot())
 	s.mu.Lock()
 	reg.AddUint("server/jobs_tracked", uint64(len(s.jobs)))
 	reg.AddUint("server/sweeps_tracked", uint64(len(s.sweeps)))
@@ -1072,12 +1070,11 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 
 	// Server-side plumbing, applied after the canonical key was derived
-	// from the client-visible spec: the shared per-unit checkpoint store
-	// (so drained and crash-recovered jobs resume instead of recomputing)
-	// and the default per-unit timeout.
-	if s.unitsDir != "" {
-		cfg.CheckpointDir = s.unitsDir
-	}
+	// from the client-visible spec: the server's one per-unit store handle
+	// (so drained and crash-recovered jobs resume instead of recomputing,
+	// and its counters see every job's lookups) and the default per-unit
+	// timeout.
+	ctx = checkpoint.NewContext(ctx, s.units)
 	if cfg.RunTimeout == 0 && s.cfg.JobTimeout > 0 {
 		cfg.RunTimeout = s.cfg.JobTimeout
 	}

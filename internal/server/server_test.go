@@ -491,6 +491,28 @@ func TestServedReportMatchesCLI(t *testing.T) {
 	}
 }
 
+// TestJobsShareUnitStore: every job looks units up through the server's
+// one handle on CacheDir/units, so a job that replays units an earlier
+// job stored shows them in /v1/metrics as server/unit_store/hits.
+func TestJobsShareUnitStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two simulating jobs")
+	}
+	_, base := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
+	// Figure 13 replays Figure 14's two platforms plus one more.
+	for _, exp := range []string{"fig14", "fig13"} {
+		_, v := postJob(t, base, `{"experiment":"`+exp+`","workloads":["BS"]}`)
+		waitState(t, base, v.ID, StateDone)
+	}
+	var snap struct {
+		Counters map[string]float64 `json:"counters"`
+	}
+	getJSON(t, base+"/v1/metrics", &snap)
+	if hits := snap.Counters["server/unit_store/hits"]; hits < 2 {
+		t.Fatalf("server/unit_store/hits = %v after fig14 then fig13, want >= 2 (fig14's units)", hits)
+	}
+}
+
 // stripTrailer removes the CLI's wall-clock trailer line, its only
 // non-deterministic output.
 func stripTrailer(s string) string {
